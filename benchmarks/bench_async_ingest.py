@@ -78,12 +78,7 @@ def iter_chunks(fleet: dict[str, np.ndarray], chunk: int):
 
 def run_in_process(fleet: dict[str, np.ndarray], window: int, chunk: int):
     """Baseline: the synchronous replay loop; returns (seconds, canonical)."""
-    with ExplanationService(
-        executor="thread",
-        workers=4,
-        queue_capacity=512,
-        default_config=StreamConfig(window_size=window),
-    ) as service:
+    with ExplanationService(default_config=StreamConfig(window_size=window)) as service:
         for stream_id in fleet:
             service.register(stream_id)
         started = time.perf_counter()

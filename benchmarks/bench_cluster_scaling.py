@@ -1,7 +1,7 @@
 """Cluster scaling — process-shard speedup and executor parity.
 
 Replays a fleet of regime-switching streams through the explanation
-service under every executor backend (inline, thread pool, and process
+service under every executor backend (inline and process
 shards at increasing shard counts) and measures replay throughput.  Two
 claims are checked:
 
@@ -80,13 +80,9 @@ def run_backend(
     transport: str = "framed",
 ):
     """One replay; returns (replay_seconds, report, executor_stats)."""
-    kwargs = {"shards": shards, "transport": transport} if shards is not None else {
-        "workers": 4
-    }
+    kwargs = {"shards": shards, "transport": transport, "queue_capacity": 512}
     with ExplanationService(
         executor=executor,
-        max_batch=8,
-        queue_capacity=512,
         metrics=True,
         default_config=StreamConfig(window_size=window),
         **({} if executor == "inline" else kwargs),
@@ -127,10 +123,7 @@ def main(argv=None) -> int:
     except AttributeError:  # non-Linux
         cores = os.cpu_count() or 1
 
-    plans: list[tuple[str, str, int | None]] = [
-        ("inline", "inline", None),
-        ("thread-4", "thread", None),
-    ]
+    plans: list[tuple[str, str, int | None]] = [("inline", "inline", None)]
     plans.extend((f"process-{n}", "process", n) for n in sorted(set(args.shards)))
 
     runs, canonicals = [], {}

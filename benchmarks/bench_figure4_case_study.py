@@ -54,8 +54,7 @@ def test_figure4_case_study(benchmark):
     assert greedy.size > moche.size
     # On the synthetic COVID-like data the age variable is a coarse ordinal,
     # so the density-ratio baseline can match (but never beat) the minimum
-    # size; see EXPERIMENTS.md for the discussion of this deviation from the
-    # paper's 99.9% figure.
+    # size, which deviates from the paper's 99.9% figure.
     assert d3.size >= moche.size
     # After removing MOCHE's explanation the ECDF gap to the reference is
     # within the KS threshold everywhere.

@@ -1,12 +1,12 @@
-"""Service throughput — batched + cached serving versus the naive loop.
+"""Service throughput — cached serving versus the naive loop.
 
 The workload models the paper's motivating scenario at fleet scale: 20
 monitored streams, several of which are replicas of the same underlying
 feed (load-balanced collectors, mirrored sensors).  The naive baseline
 explains every alarm from scratch with one :class:`ExplainedDriftMonitor`
-per stream; the service multiplexes all streams through shared caches and
-a micro-batched worker pool, so replicated alarms are explained once and
-stable reference windows are sorted once.
+per stream; the service multiplexes all streams through shared caches, so
+replicated alarms are explained once and stable reference windows are
+sorted once.
 
 Expected shape: the service clearly beats the naive loop on wall-clock
 time, with a non-trivial cache hit rate and identical alarm positions.
@@ -79,10 +79,6 @@ def run_service(
 ):
     """The service replaying the fleet in interleaved chunks."""
     with ExplanationService(
-        workers=4,
-        max_batch=8,
-        queue_capacity=256,
-        policy="block",
         metrics=metrics,
         tracing=tracing,
         default_config=StreamConfig(window_size=WINDOW, alpha=ALPHA),
@@ -162,12 +158,12 @@ def test_service_beats_naive_per_call_loop(benchmark):
         f"alarms raised         : {report.alarms_raised}",
         f"naive per-call loop   : {naive_timer.elapsed:.3f} s "
         f"({naive_throughput:,.0f} obs/s)",
-        f"batched+cached service: {service_seconds:.3f} s "
+        f"cached service        : {service_seconds:.3f} s "
         f"({service_throughput:,.0f} obs/s)",
         f"speedup               : {naive_timer.elapsed / service_seconds:.2f}x",
         f"cache hit rate        : {100 * report.cache_hit_rate:.1f}%",
         f"explanation cache     : {report.cache_stats['explanations']}",
-        f"batcher               : {report.batcher_stats}",
+        f"executor              : {report.batcher_stats}",
         f"metrics overhead      : {100 * best_overhead:+.1f}% "
         f"(best of {len(attempts)} attempt(s); target < {100 * OVERHEAD_TARGET:.0f}%)",
         f"tracing overhead      : {100 * best_trace_overhead:+.1f}% "
@@ -227,7 +223,7 @@ def test_service_beats_naive_per_call_loop(benchmark):
     # Telemetry claims: the instrumented run exposes tail latencies for
     # every pipeline stage, and turning metrics on stays cheap (the hard
     # bound is deliberately loose; see OVERHEAD_LIMIT).
-    for stage in ("ingest_enqueue", "batch_wait", "detect", "explain"):
+    for stage in ("ingest_enqueue", "detect", "explain"):
         summary = metrics_report.latency[stage]
         assert summary["count"] > 0, f"no {stage} samples recorded"
         assert summary["p50"] <= summary["p95"] <= summary["p99"]

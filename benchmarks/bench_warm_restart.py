@@ -23,7 +23,7 @@ Two claims are checked, both hard-enforced:
 
 The snapshot *overhead* is also measured: replay wall-clock with
 checkpointing every round vs. without.  In-process snapshot/restore parity
-(all three executors) is additionally asserted library-side, including
+(both executors) is additionally asserted library-side, including
 ``--executor process`` where detector state crosses the wire twice.
 
 Run it directly (the CI warm-restart smoke job does)::
@@ -95,9 +95,8 @@ def serve_args(paths: list[str], window: int, chunk: int, executor: str) -> list
     args = [
         sys.executable, "-m", "repro.cli", "serve", *paths,
         "--window", str(window), "--chunk", str(chunk), "--summary-only",
+        "--executor", executor,
     ]
-    if executor != "thread":
-        args += ["--executor", executor]
     if executor == "process":
         args += ["--shards", "2"]
     return args
@@ -237,7 +236,6 @@ def library_round_trip(fleet: dict[str, np.ndarray], window: int, chunk: int) ->
     results = {}
     for executor, kwargs in (
         ("inline", {}),
-        ("thread", {"workers": 2}),
         ("process", {"shards": 2}),
     ):
         base = replay(executor, None, **kwargs)
@@ -256,7 +254,7 @@ def main(argv=None) -> int:
     params = QUICK if args.quick else FULL
 
     fleet = build_fleet(params["streams"], params["segments"], params["segment"])
-    executors = ["thread"] if args.quick else ["thread", "process"]
+    executors = ["inline"] if args.quick else ["inline", "process"]
     results = {
         "params": params,
         "library_round_trip": library_round_trip(

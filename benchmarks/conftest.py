@@ -1,12 +1,12 @@
 """Shared fixtures for the benchmark harness.
 
 Each benchmark regenerates one table or figure of the paper's evaluation
-(see DESIGN.md's per-experiment index).  The workloads use
+(the file name says which).  The workloads use
 ``ExperimentConfig.smoke()`` — a scaled-down version of the paper's setup —
 so a full ``pytest benchmarks/ --benchmark-only`` pass finishes on a laptop
 while preserving the qualitative shape of every result.  Rendered tables are
 written to ``benchmarks/results/*.txt`` and echoed to stdout so they can be
-compared row-by-row with the paper (see EXPERIMENTS.md).
+compared row-by-row with the paper.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ async def main() -> None:
     bound: asyncio.Future = loop.create_future()
 
     async with AsyncExplanationService(
-        workers=4, default_config=StreamConfig(window_size=WINDOW)
+        default_config=StreamConfig(window_size=WINDOW)
     ) as service:
         # A live alarm feed: alarms print the moment they are explained,
         # while ingestion is still running.

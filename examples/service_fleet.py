@@ -4,9 +4,8 @@ This example exercises the serving layer at the scale the paper motivates:
 twenty synthetic sensor streams — five distinct feeds, each mirrored by
 four collectors — with injected drifts at different onsets.  All streams
 flow through one :class:`repro.service.ExplanationService`, which detects
-drifts per stream and explains every alarm on a micro-batched worker pool
-with shared caches, so mirrored feeds never pay for the same explanation
-twice.
+drifts per stream and explains every alarm against shared caches, so
+mirrored feeds never pay for the same explanation twice.
 
 Run with::
 
@@ -47,10 +46,6 @@ def main() -> None:
     streams = build_fleet()
 
     with ExplanationService(
-        workers=4,
-        max_batch=8,
-        queue_capacity=256,
-        policy="block",
         default_config=StreamConfig(window_size=WINDOW, alpha=0.05),
     ) as service:
         for stream_id in streams:
@@ -69,10 +64,7 @@ def main() -> None:
     print(f"alarms raised        : {report.alarms_raised}")
     print(f"alarms explained     : {report.explained}")
     print(f"throughput           : {report.throughput:,.0f} obs/s")
-    print(f"cache hit rate       : {100 * report.cache_hit_rate:.1f}%")
-    batcher = report.batcher_stats
-    print(f"worker batches       : {batcher['batches']} "
-          f"(largest {batcher['largest_batch']}, coalesced {batcher['coalesced']})\n")
+    print(f"cache hit rate       : {100 * report.cache_hit_rate:.1f}%\n")
 
     for stream in report.streams:
         for alarm in stream.alarms:
@@ -90,7 +82,7 @@ def main() -> None:
         alarm.from_cache for stream in report.streams for alarm in stream.alarms
     )
     print(f"\n{shared} of {report.explained} explanations were served from the "
-          f"shared cache or coalesced with an identical in-flight job.")
+          f"shared cache.")
 
 
 if __name__ == "__main__":

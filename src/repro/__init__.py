@@ -29,12 +29,12 @@ The package provides:
   detector/explainer construction, chunk normalisation, cache keys,
   detector-state persistence and report rendering;
 * :mod:`repro.service` — an in-process multi-stream explanation service
-  with micro-batching, shared caching, pluggable execution and
-  snapshot/warm-restart persistence;
+  with shared caching, pluggable execution and snapshot/warm-restart
+  persistence;
 * :mod:`repro.cluster` — the execution runtime behind the service: the
-  :class:`Executor` seam with inline / thread-pool / process-shard
-  backends, consistent-hash partitioning of streams onto worker processes,
-  the picklable wire protocol and shard-level fault handling.
+  :class:`Executor` seam with inline and process-shard backends,
+  consistent-hash partitioning of streams onto worker processes, the
+  picklable wire protocol and shard-level fault handling.
 
 The main classes of every layer are re-exported here, so typical use is
 just ``from repro import MOCHE, KSDriftDetector, ExplanationService``.
@@ -52,7 +52,6 @@ from repro.cluster import (
     InlineExecutor,
     ProcessShardExecutor,
     ShardRuntime,
-    ThreadExecutor,
     make_executor,
 )
 from repro.core import (
@@ -90,7 +89,6 @@ from repro.multidim import (
 from repro.service import (
     ChunkResult,
     ExplanationService,
-    MicroBatcher,
     ServiceAlarm,
     ServiceReport,
     ServiceSnapshot,
@@ -132,7 +130,6 @@ __all__ = [
     # service
     "ChunkResult",
     "ExplanationService",
-    "MicroBatcher",
     "ServiceAlarm",
     "ServiceReport",
     "ServiceSnapshot",
@@ -144,7 +141,6 @@ __all__ = [
     "InlineExecutor",
     "ProcessShardExecutor",
     "ShardRuntime",
-    "ThreadExecutor",
     "make_executor",
     # exceptions
     "KSTestPassedError",

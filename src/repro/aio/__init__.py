@@ -15,7 +15,8 @@ queues — meet them without blocking an event loop:
   mapping source events onto the service, and :func:`serve_listen`, the
   engine behind ``repro serve --listen HOST:PORT``;
 * bridging (:mod:`~repro.aio.bridge`) — the ``call_soon_threadsafe``
-  plumbing that resolves asyncio futures from worker threads.
+  plumbing that resolves asyncio futures from the ingest thread or the
+  shard reply collector.
 
 Minimal end to end::
 
@@ -23,7 +24,7 @@ Minimal end to end::
     from repro.aio import AsyncExplanationService
 
     async def main():
-        async with AsyncExplanationService(workers=4) as aio:
+        async with AsyncExplanationService() as aio:
             await aio.register("sensor-1")
             future = await aio.submit("sensor-1", chunk)   # suspends on backpressure
             result = await future                          # this chunk's alarms

@@ -162,7 +162,7 @@ async def serve_listen(
     :class:`~repro.service.results.ServiceReport`.  The caller owns the
     service and closes it (``async with`` composes naturally)::
 
-        async with AsyncExplanationService(workers=4) as aio:
+        async with AsyncExplanationService() as aio:
             report = await serve_listen(aio, "0.0.0.0", 7007, on_bound=print)
     """
     source = TCPServerSource(host, port, on_bound=on_bound)

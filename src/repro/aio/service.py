@@ -20,8 +20,9 @@ single thread is a feature, not a limitation: submissions retain their
 arrival order (per-stream chunk order is what detection parity depends
 on), and a periodic snapshot — which drains first — naturally serialises
 with the submissions instead of racing them.  The detection work itself is
-already behind the service's executor seam (thread pool or process
-shards), so one feeder thread keeps every core busy.
+already behind the service's executor seam: inline on that thread, or
+spread over process shards, where one feeder thread keeps every core
+busy.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class AsyncExplanationService:
 
     Use as an async context manager::
 
-        async with AsyncExplanationService(workers=4) as aio:
+        async with AsyncExplanationService() as aio:
             await aio.register("sensor-1", StreamConfig(window_size=200))
             future = await aio.submit("sensor-1", chunk)
             result = await future          # ChunkResult: this chunk's alarms

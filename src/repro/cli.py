@@ -16,9 +16,9 @@ The CLI exposes the library's main workflows without writing any Python:
 
 ``repro serve``
     Replay one or many series files through the multi-stream explanation
-    service (micro-batching, shared caches, pluggable executor: inline,
-    thread pool or ``--shards N`` worker processes, optionally elastic
-    between ``--min-shards``/``--max-shards``) and print the service report
+    service (shared caches, pluggable executor: inline on the replay thread
+    or ``--shards N`` worker processes, optionally elastic between
+    ``--min-shards``/``--max-shards``) and print the service report
     with every explained alarm.  With ``--snapshot-dir`` the service state
     (detector windows, alarm logs, cache contents) is checkpointed after
     every replay round and a re-run *warm-restarts* from the checkpoint,
@@ -33,8 +33,9 @@ The CLI exposes the library's main workflows without writing any Python:
     Replay series files with per-chunk tracing on (full sampling by
     default) and write the span timelines as Chrome trace-event JSON —
     load the file at https://ui.perfetto.dev or ``chrome://tracing`` to
-    see each chunk's ``ingest_enqueue → batch_wait → detect → explain``
-    (and, under ``--executor process``, ``wire_roundtrip``) flame.
+    see each chunk's ``detect → ingest_enqueue → explain`` flame (under
+    ``--executor process``: ``ingest_enqueue → wire_roundtrip →
+    batch_wait → detect → explain``).
 
 ``repro experiments``
     Regenerate the paper's tables and figures at a reduced scale.
@@ -70,7 +71,6 @@ from repro.io.export import (
 )
 from repro.io.loaders import load_sample, load_series_csv
 from repro.service import ExplanationService, StreamConfig
-from repro.service.batching import POLICIES
 from repro.service.snapshot import SNAPSHOT_FILENAME, ServiceSnapshot
 from repro.service.registry import (
     DETECTORS,
@@ -249,22 +249,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "--listen serves live TCP ingestion; replaying series files "
             "with it is ambiguous (drop the files or the flag)"
         )
-    # Flags that only configure one backend are rejected with the others
-    # instead of being silently dropped.
-    thread_flags = {
-        "--workers": args.workers,
-        "--max-batch": args.max_batch,
-        "--policy": args.policy,
-    }
-    if args.executor != "thread":
-        given = [flag for flag, value in thread_flags.items() if value is not None]
-        if given:
-            raise ReproError(
-                f"{', '.join(given)} only apply to --executor thread "
-                f"(got --executor {args.executor})"
-            )
-    if args.executor == "inline" and args.queue_capacity is not None:
-        raise ReproError("--queue-capacity does not apply to --executor inline")
+    # Flags that only configure the process backend are rejected with
+    # inline instead of being silently dropped.
+    if args.executor != "process" and args.queue_capacity is not None:
+        raise ReproError("--queue-capacity requires --executor process")
     if args.executor != "process" and args.shards is not None:
         raise ReproError("--shards requires --executor process")
     if args.executor != "process" and args.transport is not None:
@@ -347,10 +335,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     overrides = {
         name: value
         for name, value in (
-            ("workers", args.workers),
-            ("max_batch", args.max_batch),
             ("queue_capacity", args.queue_capacity),
-            ("policy", args.policy),
             ("shards", shards),
             ("transport", args.transport),
             ("frame_size", args.frame_size),
@@ -654,10 +639,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--top-k", type=int, default=100,
                               help="top-k restriction for the search baselines")
     serve_parser.add_argument("--seed", type=int, default=0, help="random seed")
-    serve_parser.add_argument("--executor", choices=EXECUTOR_NAMES, default="thread",
-                              help="execution backend: inline (synchronous), "
-                                   "thread (worker pool), or process "
-                                   "(sharded worker processes; default thread)")
+    serve_parser.add_argument("--executor", choices=EXECUTOR_NAMES, default="inline",
+                              help="execution backend: inline (synchronous, "
+                                   "on the replay thread; default) or process "
+                                   "(sharded worker processes)")
     serve_parser.add_argument("--shards", type=int, default=None,
                               help="worker processes for --executor process "
                                    "(default 2)")
@@ -685,19 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="upper bound of the elastic shard pool "
                                    "(--executor process; use with "
                                    "--min-shards)")
-    serve_parser.add_argument("--workers", type=int, default=None,
-                              help="explanation worker threads for --executor "
-                                   "thread (default 2)")
-    serve_parser.add_argument("--max-batch", type=int, default=None,
-                              help="micro-batch size for --executor thread "
-                                   "(default 8)")
     serve_parser.add_argument("--queue-capacity", type=int, default=None,
-                              help="backpressure bound: pending-explanation "
-                                   "queue (thread) or in-flight chunks "
-                                   "(process); default 128")
-    serve_parser.add_argument("--policy", choices=POLICIES, default=None,
-                              help="backpressure policy when the queue is full "
-                                   "(--executor thread; default block)")
+                              help="backpressure bound on in-flight chunks "
+                                   "(--executor process; default 128)")
     serve_parser.add_argument("--autoscale-interval", type=float, default=None,
                               help="seconds between background autoscaler "
                                    "ticks (with --min-shards/--max-shards; "
@@ -761,8 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(trace_parser)
     trace_parser.add_argument("--window", type=int, default=200,
                               help="sliding window size (default 200)")
-    trace_parser.add_argument("--executor", choices=EXECUTOR_NAMES, default="thread",
-                              help="execution backend to trace (default thread)")
+    trace_parser.add_argument("--executor", choices=EXECUTOR_NAMES, default="inline",
+                              help="execution backend to trace (default inline)")
     trace_parser.add_argument("--shards", type=int, default=None,
                               help="worker processes for --executor process "
                                    "(default 2)")

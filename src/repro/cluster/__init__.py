@@ -2,13 +2,11 @@
 
 ``repro.cluster`` is the seam between *what* the service computes and
 *where* it runs.  The service engine talks to an
-:class:`~repro.cluster.base.Executor`; three interchangeable backends
+:class:`~repro.cluster.base.Executor`; two interchangeable backends
 implement it:
 
 * :class:`~repro.cluster.executors.InlineExecutor` — synchronous, on the
-  submitting thread (determinism / debugging baseline);
-* :class:`~repro.cluster.executors.ThreadExecutor` — the micro-batched
-  thread worker pool of PR 1;
+  submitting thread (the default, and the parity baseline);
 * :class:`~repro.cluster.sharding.ProcessShardExecutor` — streams
   consistent-hashed onto N worker processes
   (:class:`~repro.cluster.partition.HashRing`), each owning detector
@@ -30,8 +28,13 @@ from repro.cluster.autoscale import (
     QueueDepthPolicy,
 )
 from repro.cluster.base import EXECUTOR_NAMES, Executor, ExecutorHooks, make_executor
-from repro.cluster.executors import InlineExecutor, ThreadExecutor
+from repro.cluster.executors import InlineExecutor
 from repro.cluster.partition import HashRing, stable_hash
+
+# The runtime imports the service's cache and registry, and the service's
+# engine imports the runtime back: the service package has to finish
+# initialising before the runtime module starts.
+import repro.service  # noqa: F401
 from repro.cluster.runtime import (
     ShardRuntime,
     build_preference_cached,
@@ -84,7 +87,6 @@ __all__ = [
     "ShardRuntime",
     "ShardStatsReply",
     "Shutdown",
-    "ThreadExecutor",
     "WorkerFailure",
     "build_preference_cached",
     "coerce_observations",

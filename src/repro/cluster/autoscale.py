@@ -30,7 +30,7 @@ The split is deliberate:
   when nothing is ingesting (``repro serve --min-shards/--max-shards``
   runs it this way).
 
-Executors without a queue-depth gauge (inline/thread) simply never trigger
+Executors without a queue-depth gauge (inline) simply never trigger
 a decision, so an autoscaler can be attached unconditionally.
 """
 

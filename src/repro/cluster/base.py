@@ -1,24 +1,20 @@
 """The executor seam: *where* the service's work runs is pluggable.
 
-PR 1 hard-coded a thread pool into the service.  This module turns that
-choice into an interface with three interchangeable backends:
+Two interchangeable backends implement it:
 
-* ``"inline"`` (:class:`~repro.cluster.executors.InlineExecutor`) — every
-  explanation runs synchronously on the submitting thread.  Zero
-  concurrency, zero nondeterminism; the debugging and parity baseline.
-* ``"thread"`` (:class:`~repro.cluster.executors.ThreadExecutor`) — the
-  PR 1 behaviour: detection on the submitting thread, explanations on a
-  micro-batched thread worker pool with backpressure.  Best when the
-  workload is cache-friendly (shared caches see every stream).
+* ``"inline"`` (:class:`~repro.cluster.executors.InlineExecutor`, the
+  default) — the service detects and explains every chunk synchronously
+  on the submitting thread, against its shared caches.  No queues and no
+  concurrency: ``submit()`` returns with the chunk's alarms explained.
 * ``"process"`` (:class:`~repro.cluster.sharding.ProcessShardExecutor`) —
   streams are consistent-hashed onto N worker processes that own detection,
   explanation, caches and detector state; the pure-Python MOCHE hot path
   runs on N cores instead of behind one GIL.
 
 Executors are constructed with their options, then bound to a service via
-:meth:`Executor.bind`, which hands them the service-side hooks (explain,
-record, record_reply).  Resources (threads, processes) are allocated at
-bind time, so an unbound executor is cheap and picklable-free.
+:meth:`Executor.bind`, which hands them the service-side hooks
+(record_reply, snapshot, telemetry).  Resources (threads, processes) are
+allocated at bind time, so an unbound executor is cheap and picklable-free.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 
 #: Names accepted by :func:`make_executor` and ``repro serve --executor``.
-EXECUTOR_NAMES = ("inline", "thread", "process")
+EXECUTOR_NAMES = ("inline", "process")
 
 
 @dataclass
@@ -41,12 +37,6 @@ class ExecutorHooks:
 
     Attributes
     ----------
-    explain:
-        ``explain(job) -> (explanation, from_cache)``; the engine's
-        cache-aware explanation path (used by detection-local executors).
-    record:
-        ``record(JobOutcome)``; folds one finished/failed/dropped
-        explanation job into the service report.
     record_reply:
         ``record_reply(IngestReply)``; folds one shard reply (alarms plus
         counter deltas) into the service report.
@@ -56,7 +46,7 @@ class ExecutorHooks:
     metrics:
         The service's :class:`~repro.obs.metrics.MetricsRegistry`, or
         ``None`` when telemetry is disabled.  Executors use it to observe
-        their own stages (batch wait, wire round-trip) and to decide
+        their own stages (wire round-trip, migration quiesce) and to decide
         whether shard workers should run instrumented.
     tracer:
         The service's :class:`~repro.obs.trace.Tracer`, or ``None`` when
@@ -69,8 +59,6 @@ class ExecutorHooks:
         it on shard crash or retirement.
     """
 
-    explain: Callable
-    record: Callable
     record_reply: Callable
     snapshot: Callable[[], dict]
     metrics: Optional[object] = None
@@ -83,10 +71,8 @@ class Executor(abc.ABC):
 
     Two shapes of executor exist, distinguished by ``owns_detection``:
 
-    * detection-local (``owns_detection = False``): the engine runs the
-      detector on the submitting thread and hands finished
-      :class:`~repro.service.batching.ExplanationJob` items to
-      :meth:`dispatch`;
+    * detection-local (``owns_detection = False``): the engine detects and
+      explains every chunk itself, on the submitting thread;
     * stream-owning (``owns_detection = True``): the engine routes raw
       chunks to :meth:`ingest` and the executor runs detection *and*
       explanation wherever it likes, reporting back through
@@ -123,10 +109,6 @@ class Executor(abc.ABC):
     # ------------------------------------------------------------------
     # Work
     # ------------------------------------------------------------------
-    def dispatch(self, job) -> None:
-        """Run one explanation job (detection-local executors)."""
-        raise NotImplementedError(f"executor {self.name!r} does not dispatch jobs")
-
     def ingest(self, state, values: np.ndarray, completion=None, trace=None) -> None:
         """Route one coerced chunk (stream-owning executors).
 
@@ -166,9 +148,9 @@ class Executor(abc.ABC):
 
         The process backend quiesces only the streams whose ring owner
         changes, migrates their detector state to the new owners and
-        resumes.  In-process executors have no shard pool: this base
+        resumes.  The inline executor has no shard pool: this base
         implementation validates the request and reports the single logical
-        shard they run as, so ``resize()`` is report-parity-neutral across
+        shard it runs as, so ``resize()`` is report-parity-neutral across
         every backend.
         """
         if shards < 1:
@@ -179,7 +161,7 @@ class Executor(abc.ABC):
         """Worker-side cache statistics, merged across workers.
 
         ``None`` means the parent process's caches see every lookup (the
-        in-process executors), so the service report needs no merge.  The
+        inline executor), so the service report needs no merge.  The
         process backend returns the summed per-shard
         :meth:`~repro.service.cache.SharedCaches.stats_dict` counters.
         """
@@ -189,7 +171,7 @@ class Executor(abc.ABC):
         """Worker-side metrics, as a mergeable registry ``state_dict``.
 
         ``None`` means every stage was observed in the parent registry (the
-        in-process executors).  The process backend returns the merged
+        inline executor).  The process backend returns the merged
         per-shard payloads it collected alongside :meth:`cache_stats`.
         """
         return None
@@ -222,7 +204,7 @@ class Executor(abc.ABC):
     def seed_caches(self, contents: dict) -> None:
         """Warm worker-side caches from restored snapshot contents.
 
-        No-op by default: the in-process executors share the service's own
+        No-op by default: the inline executor shares the service's own
         cache bundle, which the engine restores directly.
         """
 
@@ -245,16 +227,14 @@ class Executor(abc.ABC):
 def make_executor(name: str, **options) -> Executor:
     """Build an (unbound) executor by name.
 
-    ``options`` are forwarded to the executor's constructor; each backend
-    accepts its own subset (``workers``/``max_batch``/``capacity``/``policy``
-    for ``"thread"``, ``shards``/``mp_context``/... for ``"process"``).
+    ``options`` are forwarded to the executor's constructor (``"inline"``
+    takes none; ``"process"`` takes ``shards``/``mp_context``/...).
     """
-    from repro.cluster.executors import InlineExecutor, ThreadExecutor
+    from repro.cluster.executors import InlineExecutor
     from repro.cluster.sharding import ProcessShardExecutor
 
     factories = {
         "inline": InlineExecutor,
-        "thread": ThreadExecutor,
         "process": ProcessShardExecutor,
     }
     if name not in factories:

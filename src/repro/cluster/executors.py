@@ -1,128 +1,26 @@
-"""The in-process executors: synchronous inline and micro-batched threads.
-
-Both keep detection on the submitting thread (the engine drives the
-detectors and hands finished explanation jobs to :meth:`dispatch`); they
-differ only in where the explanation runs.
-"""
+"""The inline executor: the service's own submitting thread does the work."""
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 from repro.cluster.base import Executor
-from repro.exceptions import ValidationError
-from repro.service.batching import JobOutcome, MicroBatcher
 
 
 class InlineExecutor(Executor):
-    """Run every explanation synchronously on the submitting thread.
+    """Detect and explain every chunk synchronously on the submitting thread.
 
-    No worker threads, no queues, no reordering: ``submit()`` returns with
-    the alarm already explained and recorded.  This is the determinism
-    baseline the other executors are checked against, and the right choice
-    for debugging and for tiny fleets where concurrency buys nothing.
+    The engine does all the work inside ``submit()``, against its shared
+    caches, so this executor holds no threads, no queues and no state:
+    ``submit()`` returns with the chunk's alarms already explained and
+    recorded.  It is the default, and the baseline the process executor's
+    reports are checked against.
     """
 
     name = "inline"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lock = threading.Lock()
-        self._executed = 0
-        self._failed = 0
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    def dispatch(self, job) -> None:
-        if self._closed:
-            # Same contract as the other backends: a closed executor fails
-            # loudly instead of quietly serving.
-            raise ValidationError("cannot submit to a closed executor")
-        value = None
-        error: Optional[Exception] = None
-        try:
-            value = self.hooks.explain(job)
-        except Exception as exc:  # captured per job, like the worker pool
-            error = exc
-        with self._lock:
-            if error is None:
-                self._executed += 1
-            else:
-                self._failed += 1
-        # Synchronous delivery: a faulty record callback surfaces to the
-        # submitter immediately instead of being deferred.
-        self.hooks.record(JobOutcome(job=job, value=value, error=error))
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         return True  # nothing is ever in flight
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        self._closed = True
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "executor": self.name,
-                "executed": self._executed,
-                "failed": self._failed,
-            }
-
-
-class ThreadExecutor(Executor):
-    """Micro-batched thread worker pool (the PR 1 serving path).
-
-    A thin executor-shaped wrapper over
-    :class:`~repro.service.batching.MicroBatcher`: bounded queue, batch
-    claiming with in-batch coalescing, ``block`` / ``drop-oldest``
-    backpressure.  Explanations of different streams overlap in the NumPy
-    portions of the work; the pure-Python portions still share the GIL —
-    that is what :class:`~repro.cluster.sharding.ProcessShardExecutor`
-    removes.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self,
-        workers: int = 2,
-        max_batch: int = 8,
-        capacity: int = 128,
-        policy: str = "block",
-    ) -> None:
-        super().__init__()
-        self._options = {
-            "workers": workers,
-            "max_batch": max_batch,
-            "capacity": capacity,
-            "policy": policy,
-        }
-        self._batcher: Optional[MicroBatcher] = None
-
-    def _start(self) -> None:
-        self._batcher = MicroBatcher(
-            handler=self.hooks.explain,
-            on_outcome=self.hooks.record,
-            metrics=self.hooks.metrics,
-            **self._options,
-        )
-
-    # ------------------------------------------------------------------
-    def dispatch(self, job) -> None:
-        self._batcher.submit(job)
-
-    def has_capacity(self) -> bool:
-        return self._batcher is not None and self._batcher.has_capacity()
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        return self._batcher.drain(timeout=timeout)
-
-    def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        if self._batcher is not None:
-            self._batcher.close(drain=drain, timeout=timeout)
-
-    def stats(self) -> dict:
-        payload = {"executor": self.name}
-        if self._batcher is not None:
-            payload.update(self._batcher.stats.to_dict())
-        return payload
+        """Nothing to release: the service stops accepting chunks itself."""

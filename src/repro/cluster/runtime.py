@@ -105,7 +105,7 @@ def explain_alarm(
     """Explain one alarm, consulting the explanation cache.
 
     Returns ``(explanation, from_cache)``.  This is the single explanation
-    path of the whole system: the in-process executors and every shard
+    path of the whole system: the service's inline path and every shard
     worker call it.
     """
     key = None

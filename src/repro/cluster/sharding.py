@@ -147,8 +147,7 @@ class ProcessShardExecutor(Executor):
         Backpressure bound on in-flight (un-acknowledged) chunks across all
         shards; ``ingest`` blocks once it is reached, so a producer that
         outruns the shards slows down instead of growing the command queues
-        without limit (the process-side equivalent of the thread backend's
-        bounded queue).
+        without limit.
     transport:
         ``"framed"`` (default) batches up to ``frame_size`` chunks into one
         :class:`~repro.cluster.wire.IngestFrame` per queue message with
@@ -525,12 +524,14 @@ class ProcessShardExecutor(Executor):
         with self._lifecycle:
             # Every worker is gone: unlink the payload rings (drain=False
             # simply discards whatever frames were still buffered — their
-            # completions resolve as lost below, like any in-flight chunk).
+            # completions resolve as lost below, like any in-flight chunk)
+            # and release the command lanes.
             for shard in self._shards.values():
                 shard.pending.clear()
                 if shard.ring is not None:
                     shard.ring.destroy()
                     shard.ring = None
+                self._close_lanes(shard)
         with self._cv:
             self._payload_refs.clear()
             # Parked chunks are in ``_outstanding`` too (owner _PARKED), so
@@ -554,6 +555,30 @@ class ProcessShardExecutor(Executor):
         if pending_error is not None:
             raise pending_error
         self._raise_deferred()
+
+    @staticmethod
+    def _close_lanes(shard: _Shard) -> None:
+        """Close a stopped shard's command and control queues.
+
+        Each ``mp.Queue`` holds named semaphores that are only unlinked
+        when the queue is freed, and the service and its executor form a
+        reference cycle that only the cyclic GC breaks; left to it, the
+        semaphores outlive the service and the resource tracker reports
+        them leaked.  A worker that exited cleanly read everything up to
+        its ``Shutdown``, so the feeder thread has nothing left to write
+        and joins at once; for a killed worker the unread tail is
+        abandoned instead, since a feeder blocked on a full pipe would
+        never join.
+        """
+        clean = shard.process is not None and shard.process.exitcode == 0
+        for lane in (shard.commands, shard.control):
+            if lane is None:
+                continue
+            if not clean:
+                lane.cancel_join_thread()
+            lane.close()
+            lane.join_thread()
+        shard.commands = shard.control = None
 
     # ------------------------------------------------------------------
     # Stream lifecycle
@@ -714,8 +739,8 @@ class ProcessShardExecutor(Executor):
     def _shard_for_stream(self, stream_id: str) -> _Shard:
         """The live shard owning a stream, respawning it first if it died."""
         if self._closed:
-            # Mirror the thread backend: work handed to a closed executor
-            # must fail loudly, not sit on a queue no worker will read.
+            # Work handed to a closed executor must fail loudly, not sit
+            # on a queue no worker will read.
             raise ValidationError("cannot submit to a closed executor")
         while True:
             shard = self._shards[self._ring.shard_for(stream_id)]

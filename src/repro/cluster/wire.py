@@ -102,7 +102,7 @@ class IngestChunk:
 
     ``enqueued_at`` is a ``time.monotonic()`` stamp taken when the parent
     enqueued the chunk; monotonic clocks are system-wide on Linux, so the
-    worker subtracts it from its own clock to observe the micro-batch wait
+    worker subtracts it from its own clock to observe the ``batch_wait``
     (queue residency) of the chunk.  ``None`` when neither metrics nor
     tracing is enabled.
 

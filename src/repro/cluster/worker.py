@@ -28,7 +28,7 @@ straggler chunk that reaches this worker after its stream was exported
 bounces too, so the FIFO contract's *observable* effects survive: every
 chunk is served exactly once, on exactly one side of the migration.
 
-Error discipline mirrors the thread pool's: an explainer failing on one
+Error discipline mirrors the inline path's: an explainer failing on one
 alarm is captured *per alarm* inside the reply; a chunk that fails to
 decode or process becomes a per-chunk
 :class:`~repro.cluster.wire.WorkerFailure` *inside* the reply frame (its

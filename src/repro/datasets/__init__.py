@@ -4,7 +4,8 @@ The paper evaluates on the BC CDC COVID-19 case listing and on six dataset
 families from the Numenta Anomaly Benchmark.  Neither is available offline,
 so this package provides generators that reproduce their statistical shape
 (set sizes, failure of the KS test, labelled anomalous regions, drift
-injections) — see DESIGN.md, "Data substitutions", for the full rationale.
+injections).  Each generator module's docstring (:mod:`~repro.datasets.covid`,
+:mod:`~repro.datasets.nab`) states what it substitutes and why.
 """
 
 from repro.datasets.covid import (

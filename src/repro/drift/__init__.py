@@ -15,7 +15,8 @@ implements that substrate end to end:
   explanation to every drift alarm it raises.
 
 For monitoring many streams at once, see :mod:`repro.service`, which
-multiplexes these detectors behind a micro-batched explanation engine.
+multiplexes these detectors behind one explanation engine with shared
+caches.
 """
 
 from repro.drift.detector import DriftAlarm, IncrementalKSDetector, KSDriftDetector

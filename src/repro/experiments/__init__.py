@@ -1,7 +1,9 @@
 """Experiment runners that regenerate the paper's tables and figures.
 
-Every module corresponds to one experiment of Section 6 (see DESIGN.md's
-per-experiment index).  Each runner accepts an :class:`ExperimentConfig`
+Every module corresponds to one experiment of Section 6
+(:data:`~repro.experiments.run_all.EXPERIMENT_IDS` lists them and
+:func:`~repro.experiments.run_all.run_all_experiments` runs them).  Each
+runner accepts an :class:`ExperimentConfig`
 controlling the workload scale: ``ExperimentConfig.smoke()`` is a reduced
 configuration used by the benchmark harness so a full pass finishes on a
 laptop; ``ExperimentConfig.paper()`` approaches the paper's scale.

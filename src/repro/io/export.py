@@ -124,7 +124,7 @@ def save_service_report(report, path: PathLike) -> Path:
     """Write a service report to disk; the format follows the extension.
 
     ``.json`` writes the full structured record (streams, alarms, cache and
-    batcher statistics), ``.txt`` (or no extension) the rendered summary.
+    executor statistics), ``.txt`` (or no extension) the rendered summary.
     """
     path = Path(path)
     suffix = path.suffix.lower()

@@ -1,8 +1,8 @@
 """Low-overhead metrics primitives for the explanation service.
 
-The service runs the same explanation pipeline under three executors
-(inline, thread pool, process shards), so its telemetry has to satisfy
-three constraints at once:
+The service runs the same explanation pipeline under two executors
+(inline and process shards), so its telemetry has to satisfy three
+constraints at once:
 
 * **cheap when off** — a disabled registry hands out ``None`` instruments
   and the hot paths guard on truthiness, so the cost of compiling the

@@ -143,11 +143,10 @@ class Span:
 class ChunkTrace:
     """The span tree of one submitted chunk.
 
-    Completion mirrors the engine's per-chunk handle: the submit path
-    *arms* the trace with the number of explanation jobs dispatched for
-    the chunk, each finished job calls :meth:`child_done`, and whichever
-    call observes the count reach zero finishes the chunk.  Thread-safe;
-    spans may be opened from batcher worker threads.
+    The service finishes it through :meth:`Tracer.finish_chunk` once the
+    chunk resolves: at the end of ``submit()`` under the inline executor,
+    when the shard reply (or a loss) lands under the process executor.
+    Thread-safe; the shard reply collector grafts worker spans onto it.
     """
 
     __slots__ = (
@@ -160,8 +159,6 @@ class ChunkTrace:
         "_clock",
         "_lock",
         "_next_id",
-        "_pending",
-        "_early_done",
         "_finalized",
     )
 
@@ -180,8 +177,6 @@ class ChunkTrace:
         self._clock = clock
         self._lock = threading.Lock()
         self._next_id = 1
-        self._pending: Optional[int] = None
-        self._early_done = 0
         self._finalized = False
         self.root = Span("chunk", 0, None, clock(), attrs={"stream": stream_id})
         self.spans: List[Span] = [self.root]
@@ -258,29 +253,7 @@ class ChunkTrace:
         """The :class:`TraceContext` to ship on the ingest wire message."""
         return TraceContext(self.trace_id, wire_span.span_id, self.sampled)
 
-    # -- completion accounting --------------------------------------------
-
-    def arm(self, expected: int) -> bool:
-        """Declare how many child jobs must finish; True when none remain.
-
-        ``child_done`` calls that raced ahead of ``arm`` (inline executor
-        runs jobs synchronously during dispatch) are credited here.
-        """
-        with self._lock:
-            self._pending = max(0, expected - self._early_done)
-            self._early_done = 0
-            return self._pending == 0 and not self._finalized
-
-    def child_done(self) -> bool:
-        """Count one finished child job; True exactly when the last lands."""
-        with self._lock:
-            if self._pending is None:
-                self._early_done += 1
-                return False
-            if self._pending == 0:
-                return False
-            self._pending -= 1
-            return self._pending == 0
+    # -- completion --------------------------------------------------------
 
     def finalize(self, status: str = _OK, error: Optional[str] = None, *, clock=None) -> bool:
         """Close the root span; False if the trace was already finalized."""

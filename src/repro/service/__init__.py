@@ -7,15 +7,13 @@ explanations immediately.  This package turns the one-shot pipeline of
 
 * :class:`ExplanationService` (:mod:`~repro.service.engine`) — accepts
   ``submit(stream_id, observations)`` calls, multiplexes per-stream sliding
-  windows over the drift detectors and routes alarm explanations through a
-  pluggable :mod:`repro.cluster` executor (inline, thread pool, or
-  process shards);
-* :class:`MicroBatcher` (:mod:`~repro.service.batching`) — coalesces
-  pending explanation jobs and executes them on a configurable thread
-  worker pool with explicit backpressure (block or drop-oldest);
+  windows over the drift detectors and runs detection and explanation
+  through a pluggable :mod:`repro.cluster` executor (inline on the
+  submitting thread, or process shards);
 * :class:`SharedCaches` (:mod:`~repro.service.cache`) — keyed LRU caches
   for sorted reference windows, critical values, preference lists and
-  finished explanations, shared across streams and workers;
+  finished explanations, shared across streams (replicated feeds get
+  their repeat explanations from the cache);
 * :class:`StreamConfig` / :class:`StreamRegistry`
   (:mod:`~repro.service.registry`) — per-stream detection and explanation
   configuration;
@@ -23,12 +21,6 @@ explanations immediately.  This package turns the one-shot pipeline of
   alarm-log result model that plugs into :mod:`repro.io.export`.
 """
 
-from repro.service.batching import (
-    BatcherStats,
-    ExplanationJob,
-    JobOutcome,
-    MicroBatcher,
-)
 from repro.service.cache import CacheStats, LRUCache, SharedCaches, array_digest
 from repro.service.engine import ChunkResult, ExplanationService
 from repro.backends import backend_names
@@ -45,16 +37,12 @@ from repro.service.results import ServiceAlarm, ServiceReport, StreamReport
 from repro.service.snapshot import ServiceSnapshot
 
 __all__ = [
-    "BatcherStats",
     "CacheStats",
     "ChunkResult",
     "EXPLAINERS",
     "EXPLAINERS_2D",
-    "ExplanationJob",
     "ExplanationService",
-    "JobOutcome",
     "LRUCache",
-    "MicroBatcher",
     "PREFERENCE_BUILDERS",
     "ServiceAlarm",
     "ServiceReport",

@@ -5,20 +5,19 @@ pipeline: it multiplexes any number of named streams over per-stream drift
 detectors and routes the work through a pluggable *executor*
 (:mod:`repro.cluster`) that decides where detection and explanation run:
 
-* ``executor="inline"`` — everything synchronous on the submitting thread;
-* ``executor="thread"`` (default) — detection on the submitting thread,
-  explanations micro-batched onto a thread worker pool with shared caches
-  (the PR 1 behaviour);
+* ``executor="inline"`` (default) — detection and explanation run
+  synchronously on the submitting thread, against the service's shared
+  caches;
 * ``executor="process"`` — streams consistent-hashed onto ``shards`` worker
   processes that own detector state, explainers and per-shard caches, for
   multi-core serving of the GIL-bound MOCHE hot path.
 
-All three backends produce identical alarms and explanations on the same
-input (see :meth:`~repro.service.results.ServiceReport.canonical_dict`).
+Both backends produce identical alarms and explanations on the same input
+(see :meth:`~repro.service.results.ServiceReport.canonical_dict`).
 
 Typical use::
 
-    with ExplanationService(workers=4) as service:
+    with ExplanationService() as service:
         for sensor_id in sensors:
             service.register(sensor_id, StreamConfig(window_size=200))
         for sensor_id, chunk in feed:
@@ -39,12 +38,10 @@ from repro.cluster.base import Executor, ExecutorHooks, make_executor
 from repro.cluster.runtime import (
     coerce_observations,
     explain_alarm,
-    explanation_cache_key,
     observation_count,
     run_detection,
 )
 from repro.cluster.wire import IngestReply
-from repro.core.explanation import Explanation
 from repro.exceptions import ServiceBackendError, ValidationError
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -54,11 +51,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.prometheus import render_registry
 from repro.obs.recorder import FlightRecorder
-from repro.obs.trace import TRACE_SCHEMA, Tracer
-from repro.service.batching import ExplanationJob, JobOutcome
+from repro.obs.trace import TRACE_SCHEMA, ChunkTrace, Tracer
 from repro.service.cache import (
     SharedCaches,
-    array_digest,
     merge_cache_contents,
     merge_stats_dicts,
     pooled_hit_rate,
@@ -79,8 +74,8 @@ class ChunkResult:
     """Resolution of one submitted chunk: what the service did with it.
 
     Delivered through ``submit(..., on_complete=...)`` exactly once per
-    chunk, after every alarm the chunk raised has been explained, failed or
-    dropped — and after all of them are visible in the service report.
+    chunk, after every alarm the chunk raised has been explained or failed
+    — and after all of them are visible in the service report.
 
     Attributes
     ----------
@@ -102,86 +97,27 @@ class ChunkResult:
     lost: bool = False
 
 
-class _ChunkHandle:
-    """Tracks one detection-local chunk until its alarms all resolve.
-
-    Armed with the alarm count while the submitting thread still holds the
-    stream lock (so no worker can outrun the expectation), then resolved by
-    whichever thread records the chunk's last alarm outcome.  The
-    completion callback's errors are deferred, never raised into a worker.
-    """
-
-    __slots__ = ("stream_id", "observations", "_on_complete", "_defer",
-                 "_lock", "_remaining", "_alarms", "_armed", "_fired")
-
-    def __init__(self, stream_id: str, on_complete: Callable, defer: Callable) -> None:
-        self.stream_id = stream_id
-        self.observations = 0
-        self._on_complete = on_complete
-        self._defer = defer
-        self._lock = threading.Lock()
-        self._remaining = 0
-        self._alarms: list[ServiceAlarm] = []
-        self._armed = False
-        self._fired = False
-
-    def arm(self, expected_alarms: int, observations: int) -> None:
-        with self._lock:
-            self._remaining = expected_alarms
-            self.observations = observations
-            self._armed = True
-
-    def alarm_done(self, alarm: ServiceAlarm) -> None:
-        with self._lock:
-            self._alarms.append(alarm)
-            self._remaining -= 1
-        self.maybe_fire()
-
-    def maybe_fire(self) -> None:
-        with self._lock:
-            if self._fired or not self._armed or self._remaining > 0:
-                return
-            self._fired = True
-            result = ChunkResult(
-                stream_id=self.stream_id,
-                observations=self.observations,
-                alarms=list(self._alarms),
-            )
-        try:
-            self._on_complete(result)
-        except Exception as exc:
-            self._defer(exc)
-
-
 class ExplanationService:
     """An in-process, multi-stream drift-explanation engine.
 
     Parameters
     ----------
-    workers:
-        Worker threads explaining alarms concurrently (``thread`` executor
-        only; other backends ignore it).
-    max_batch:
-        Micro-batch size: jobs a worker claims (and coalesces) at once
-        (``thread`` only).
     queue_capacity:
-        Backpressure bound: the pending-explanation queue (``thread``) or
-        the in-flight chunk count (``process``); ``inline`` ignores it.
-    policy:
-        Backpressure policy, ``"block"`` or ``"drop-oldest"``
-        (``thread`` only; the ``process`` backend always blocks).
+        Backpressure bound on the in-flight chunk count (``process``
+        executor only; ``submit`` blocks once it is reached).  ``inline``
+        ignores it: nothing is ever in flight there.
     default_config:
         Config used by :meth:`register` when none is given.
     caches:
         Shared cache bundle; a fresh default-sized one when omitted.  Used
-        by the in-process executors; process shards hold their own.
+        by the ``inline`` executor; process shards hold their own.
     max_alarms_per_stream:
         Bound on each stream's retained alarm log (oldest entries are
         discarded once exceeded) so a long-running service does not grow
         without limit; the per-stream counters still cover the full
         lifetime.  ``None`` disables the bound.
     executor:
-        ``"inline"``, ``"thread"``, ``"process"``, or a pre-built (unbound)
+        ``"inline"`` (default), ``"process"``, or a pre-built (unbound)
         :class:`~repro.cluster.base.Executor` instance.
     shards:
         Worker processes (``process`` executor only).
@@ -207,7 +143,7 @@ class ExplanationService:
     metrics:
         Enable stage-latency telemetry: a
         :class:`~repro.obs.metrics.MetricsRegistry` instruments the five
-        pipeline stages (ingest enqueue, micro-batch wait, detection,
+        pipeline stages (ingest enqueue, shard queue wait, detection,
         explanation, wire round-trip), shard workers run instrumented and
         their histograms merge into :meth:`report` /
         :meth:`scrape_metrics`.  Off by default; disabled, the hot path
@@ -243,14 +179,11 @@ class ExplanationService:
 
     def __init__(
         self,
-        workers: int = 2,
-        max_batch: int = 8,
         queue_capacity: int = 128,
-        policy: str = "block",
         default_config: Optional[StreamConfig] = None,
         caches: Optional[SharedCaches] = None,
         max_alarms_per_stream: Optional[int] = 10_000,
-        executor: Union[str, Executor] = "thread",
+        executor: Union[str, Executor] = "inline",
         shards: int = 2,
         mp_context: Optional[str] = None,
         transport: str = "framed",
@@ -304,10 +237,7 @@ class ExplanationService:
                 executor,
                 **self._executor_options(
                     executor,
-                    workers,
-                    max_batch,
                     queue_capacity,
-                    policy,
                     shards,
                     mp_context,
                     self._cache_lifecycle,
@@ -318,8 +248,6 @@ class ExplanationService:
             )
         self._executor = executor.bind(
             ExecutorHooks(
-                explain=self._explain_job,
-                record=self._record_outcome,
                 record_reply=self._record_reply,
                 snapshot=self._registry.snapshot,
                 metrics=self.metrics,
@@ -330,18 +258,11 @@ class ExplanationService:
 
     @staticmethod
     def _executor_options(
-        name: str, workers, max_batch, capacity, policy, shards, mp_context,
+        name: str, capacity, shards, mp_context,
         cache_lifecycle=None, transport="framed", frame_size=32,
         migration_buffer=64,
     ) -> dict:
         """The constructor options each named executor understands."""
-        if name == "thread":
-            return {
-                "workers": workers,
-                "max_batch": max_batch,
-                "capacity": capacity,
-                "policy": policy,
-            }
         if name == "process":
             options = {
                 "shards": shards,
@@ -548,8 +469,8 @@ class ExplanationService:
         On the process backend this is a *live* rebalance: only the streams
         whose ring owner changes are quiesced while their detector state
         migrates, and the run's alarms/explanations are byte-identical to a
-        fixed-shard replay.  The in-process executors have no shard pool,
-        so the call validates and reports their single logical shard.
+        fixed-shard replay.  The ``inline`` executor has no shard pool, so
+        the call validates and reports its single logical shard.
         """
         return self._executor.resize(shards)
 
@@ -562,22 +483,22 @@ class ExplanationService:
         observations: Iterable,
         on_complete: Optional[Callable[[ChunkResult], None]] = None,
     ) -> int:
-        """Feed observations into a stream, dispatching alarms as they fire.
+        """Feed observations into a stream, explaining alarms as they fire.
 
-        With the in-process executors, detection runs synchronously on the
-        calling thread (it is cheap) and the number of alarms raised by this
-        call is returned; explanations are queued (``thread``) or computed
-        in place (``inline``).  With the ``process`` executor the chunk is
-        routed to the owning shard and ``0`` is returned — alarms surface in
+        Under the ``inline`` executor the chunk is detected and every alarm
+        it raises is explained on the calling thread, so the call returns
+        with the alarms already in the report; it returns how many were
+        raised.  With the ``process`` executor the chunk is routed to the
+        owning shard and ``0`` is returned — alarms surface in
         :meth:`report` after the shard acknowledges the chunk.
 
         ``on_complete``, when given, is invoked with a :class:`ChunkResult`
         exactly once — after every alarm this chunk raised has been
-        resolved (explained, failed or dropped) and folded into the report,
-        or after the chunk was lost to a shard fault or shutdown.  It runs
-        on an arbitrary internal thread and must not call back into the
-        service synchronously; exceptions it raises are re-raised by the
-        next :meth:`drain`/:meth:`close`.  This is the completion hook the
+        resolved (explained or failed) and folded into the report, or
+        after the chunk was lost to a shard fault or shutdown.  It may run
+        on an internal thread and must not call back into the service
+        synchronously; exceptions it raises are re-raised by the next
+        :meth:`drain`/:meth:`close`.  This is the completion hook the
         asyncio front-end (:mod:`repro.aio`) bridges onto awaitable
         futures.
         """
@@ -609,10 +530,6 @@ class ExplanationService:
                 # a loss) resolves the chunk; only the enqueue span is ours.
                 enqueue_span.finish()
             return 0
-        handle = None
-        if on_complete is not None:
-            handle = _ChunkHandle(stream_id, on_complete, self._deferred.add)
-        finish_trace = False
         with state.lock:
             detect_span = trace.start_span("detect") if trace is not None else None
             if self._m_detect is not None:
@@ -625,35 +542,25 @@ class ExplanationService:
                 detect_span.finish()
             state.alarms_raised += len(alarms)
             count = observation_count(values, state.config)
-            if handle is not None:
-                # Armed under the stream lock, before any dispatch, so a
-                # fast worker cannot resolve the chunk's alarms ahead of
-                # the expectation.
-                handle.arm(len(alarms), count)
+            # Nothing is queued under inline: the "enqueue" stage times
+            # explaining the chunk's alarms in place.
             enqueue_started = (
                 time.perf_counter() if self._m_ingest is not None else None
             )
             enqueue_span = trace.start_span("ingest_enqueue") if trace is not None else None
-            for alarm in alarms:
-                self._dispatch(state, alarm, handle, trace)
+            resolved = [self._explain(state, alarm, trace) for alarm in alarms]
             if enqueue_started is not None:
-                # For the in-process executors "enqueue" is handing the
-                # chunk's jobs to the backend (under inline it includes the
-                # synchronous execution — there is no queue to hide behind).
                 self._m_ingest.observe(time.perf_counter() - enqueue_started)
             if enqueue_span is not None:
                 enqueue_span.finish()
             state.observations += count
-            if trace is not None:
-                # Armed after dispatch: inline jobs already counted down via
-                # child_done (credited), thread jobs may still be in flight.
-                finish_trace = trace.arm(len(alarms))
-        if handle is not None:
-            # Resolves chunks that raised no alarms; a chunk with alarms
-            # fires from whichever thread records the last outcome.
-            handle.maybe_fire()
-        if finish_trace:
+        if trace is not None:
             self.tracer.finish_chunk(trace)
+        if on_complete is not None:
+            try:
+                on_complete(ChunkResult(stream_id, observations=count, alarms=resolved))
+            except Exception as exc:
+                self._deferred.add(exc)
         return len(alarms)
 
     def _make_chunk_completion(
@@ -674,107 +581,47 @@ class ExplanationService:
 
         return completion
 
-    def _dispatch(self, state: StreamState, alarm, handle=None, trace=None) -> None:
-        config = state.config
-        reference_digest = test_digest = None
-        if config.cacheable or isinstance(config.preference, str):
-            # Hash the windows once here; both the explanation key and the
-            # preference cache key downstream reuse these digests.
-            reference_digest = array_digest(alarm.reference)
-            test_digest = array_digest(alarm.test)
-        key = None
-        if config.cacheable:
-            key = explanation_cache_key(config, reference_digest, test_digest)
-        self._executor.dispatch(
-            ExplanationJob(
-                stream_id=state.stream_id,
-                position=alarm.position,
-                reference=alarm.reference,
-                test=alarm.test,
-                result=alarm.result,
-                key=key,
-                reference_digest=reference_digest,
-                test_digest=test_digest,
-                context=state,
-                chunk=handle,
-                trace=trace,
-            )
+    def _explain(
+        self, state: StreamState, alarm, trace: Optional[ChunkTrace]
+    ) -> ServiceAlarm:
+        """Explain one alarm against the shared caches and fold it in."""
+        resolved = ServiceAlarm(
+            stream_id=state.stream_id, position=alarm.position, result=alarm.result
         )
-
-    # ------------------------------------------------------------------
-    # Worker-side execution (in-process executors)
-    # ------------------------------------------------------------------
-    def _explain_job(self, job: ExplanationJob) -> tuple[Explanation, bool]:
-        """Explain one alarm, consulting the shared caches."""
-        state: StreamState = job.context
-        explain_span = job.trace.start_span("explain") if job.trace is not None else None
+        explain_span = trace.start_span("explain") if trace is not None else None
         explain_started = time.perf_counter() if self._m_explain is not None else None
         try:
-            result = explain_alarm(
-                state.config,
-                state.explainer,
-                self.caches,
-                job.reference,
-                job.test,
-                reference_digest=job.reference_digest,
-                test_digest=job.test_digest,
+            resolved.explanation, resolved.from_cache = explain_alarm(
+                state.config, state.explainer, self.caches, alarm.reference, alarm.test
             )
-        except Exception:
+        except Exception as exc:  # recorded on the alarm, like a shard does
+            resolved.error = str(exc)
             if explain_span is not None:
                 explain_span.finish("error")
-            raise
-        if explain_started is not None:
-            self._m_explain.observe(time.perf_counter() - explain_started)
-        if explain_span is not None:
-            explain_span.finish()
-        return result
+        else:
+            if explain_started is not None:
+                self._m_explain.observe(time.perf_counter() - explain_started)
+            if explain_span is not None:
+                explain_span.finish()
+        with self._results_lock:
+            self._fold_alarm(state, resolved)
+        self._notify_alarm(resolved)
+        return resolved
 
     @staticmethod
     def _fold_alarm(state: StreamState, alarm: ServiceAlarm) -> None:
         """Fold one resolved alarm into a stream's accounting.
 
         Single classification point for every executor backend (the caller
-        holds the results lock), so thread and process runs cannot diverge.
+        holds the results lock), so inline and process runs cannot diverge.
         """
-        if alarm.dropped:
-            state.dropped += 1
-        elif alarm.error is not None:
+        if alarm.error is not None:
             state.errors += 1
         else:
             state.explained += 1
             if alarm.from_cache:
                 state.cache_hits += 1
         state.alarms.append(alarm)
-
-    def _record_outcome(self, outcome: JobOutcome) -> None:
-        job = outcome.job
-        state: StreamState = job.context
-        alarm = ServiceAlarm(
-            stream_id=job.stream_id,
-            position=job.position,
-            result=job.result,
-        )
-        if outcome.dropped:
-            alarm.dropped = True
-        elif outcome.error is not None:
-            alarm.error = str(outcome.error)
-        else:
-            explanation, from_cache = outcome.value
-            alarm.explanation = explanation
-            alarm.from_cache = from_cache or outcome.coalesced
-        with self._results_lock:
-            self._fold_alarm(state, alarm)
-        self._notify_alarm(alarm)
-        if job.chunk is not None:
-            # Strictly after folding + listeners: when the chunk's future
-            # resolves, its alarms are already visible everywhere.
-            job.chunk.alarm_done(alarm)
-        if job.trace is not None:
-            if outcome.dropped and job.batch_span is not None:
-                # A never-claimed job's queue wait ends here, as a drop.
-                job.batch_span.finish("dropped")
-            if job.trace.child_done():
-                self.tracer.finish_chunk(job.trace)
 
     @staticmethod
     def _alarm_from_record(record) -> ServiceAlarm:
@@ -812,8 +659,8 @@ class ExplanationService:
     def add_alarm_listener(self, listener: Callable[[ServiceAlarm], None]) -> None:
         """Call ``listener(alarm)`` for every alarm as it is resolved.
 
-        Listeners run on arbitrary internal threads (explanation workers,
-        the shard reply collector), after the alarm has been folded into
+        Listeners run on the submitting thread (``inline``) or the shard
+        reply collector (``process``), after the alarm has been folded into
         the report, and must not call back into the service synchronously.
         Exceptions they raise are recorded and re-raised by the next
         :meth:`drain`/:meth:`close` instead of killing the delivering
@@ -838,8 +685,8 @@ class ExplanationService:
             try:
                 listener(alarm)
             except Exception as exc:
-                # A broken listener must not kill a worker thread or starve
-                # a chunk completion queued behind it.
+                # A broken listener must not kill the reply collector or
+                # starve a chunk completion queued behind it.
                 self._deferred.add(exc)
 
     # ------------------------------------------------------------------
@@ -881,7 +728,7 @@ class ExplanationService:
         Process-shard workers spend their first moments importing the
         runtime; this barrier lets callers separate that one-time boot
         from steady-state serving (benchmark warmup, operator pre-warm
-        before cutover).  In-thread executors are always ready.  Returns
+        before cutover).  The ``inline`` executor is always ready.  Returns
         ``False`` on timeout.
         """
         waiter = getattr(self._executor, "wait_ready", None)
@@ -910,8 +757,7 @@ class ExplanationService:
     def alarms(self, stream_id: Optional[str] = None) -> list[ServiceAlarm]:
         """Alarm log of one stream (or all streams), ordered per stream.
 
-        Workers may complete alarms out of order, so each stream's log is
-        sorted by stream position when snapshotted.
+        Each stream's log is sorted by stream position when snapshotted.
         """
         states = (
             [self._registry.get(stream_id)]
@@ -930,7 +776,7 @@ class ExplanationService:
 
         With the process executor the per-shard worker caches are collected
         over the wire and pooled with the parent's (which only the
-        detection-local executors exercise), so cache hit rates describe
+        ``inline`` executor exercises), so cache hit rates describe
         the run instead of reading as misleading zeros.
         """
         if not self._closed:

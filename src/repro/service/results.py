@@ -1,10 +1,10 @@
 """Structured results of a service run: alarm logs and service reports.
 
 The service's unit of output is the :class:`ServiceAlarm` — one drift alarm
-together with how it was resolved (an explanation, an error, or a drop
-under backpressure).  :class:`StreamReport` aggregates one stream's alarms
-and counters; :class:`ServiceReport` aggregates the whole run, including
-cache and batcher statistics and throughput.  Everything serialises to
+together with how it was resolved (an explanation or an error).
+:class:`StreamReport` aggregates one stream's alarms and counters;
+:class:`ServiceReport` aggregates the whole run, including cache and
+executor statistics and throughput.  Everything serialises to
 plain dictionaries so the reports plug into :mod:`repro.io.export`
 (:func:`repro.io.export.save_service_report`).
 """
@@ -34,11 +34,12 @@ class ServiceAlarm:
     error:
         Error message when the explainer failed for this alarm.
     dropped:
-        True when the job was evicted by the drop-oldest backpressure
-        policy before a worker could explain it.
+        Always False: no executor drops alarms (both block under
+        backpressure).  The field stays in :meth:`to_dict` so serialised
+        and canonical reports keep their shape.
     from_cache:
-        True when the explanation was served from the shared cache or
-        coalesced with an identical in-batch job.
+        True when the explanation was served from the explanation cache
+        (the service's shared one, or the owning shard's).
     """
 
     stream_id: str
@@ -183,7 +184,7 @@ class ServiceReport:
     def canonical_dict(self) -> dict:
         """An executor-independent view of the run, for parity comparison.
 
-        The three executor backends (inline / thread / process) must produce
+        The executor backends (inline / process) must produce
         identical alarms and explanations on the same replay, but they
         differ legitimately in timing, cache topology (process shards hold
         per-shard caches) and batching counters.  This view keeps exactly
@@ -229,7 +230,7 @@ class ServiceReport:
             f"cache hit rate     : {100 * self.cache_hit_rate:.1f}%",
         ]
         stats = dict(self.batcher_stats or {})
-        name = stats.pop("executor", "thread")
+        name = stats.pop("executor", "inline")
         stats.pop("state_lost_streams", None)  # rendered on its own line below
         detail = ", ".join(f"{key} {value}" for key, value in stats.items())
         lines.append(f"executor           : {name}" + (f" ({detail})" if detail else ""))

@@ -1,11 +1,11 @@
 """Deferred-error collection for work that fails off the calling thread.
 
-Worker threads, outcome callbacks and shard collector loops must never die
-on an exception — but the exception must not vanish either.  The pattern
+Completion callbacks, alarm listeners and shard collector loops must never
+die on an exception — but the exception must not vanish either.  The pattern
 the serving stack uses everywhere is: capture the error into a bounded
 store, keep going, and let the next ``drain()``/``close()`` on the calling
 thread re-raise it.  :class:`DeferredErrors` is that store, shared by the
-micro-batcher and the process-shard executor so the two cannot drift.
+service engine and the process-shard executor so the two cannot drift.
 """
 
 from __future__ import annotations

@@ -78,7 +78,7 @@ def canonical_json(payload: dict) -> str:
 # The engine-level completion hook the async layer is built on
 # ----------------------------------------------------------------------
 class TestChunkCompletion:
-    @pytest.mark.parametrize("executor,kwargs", [("inline", {}), ("thread", {"workers": 2})])
+    @pytest.mark.parametrize("executor,kwargs", [("inline", {}), ("process", {"shards": 1})])
     def test_on_complete_fires_once_per_chunk_with_its_alarms(self, executor, kwargs):
         series = fleet(streams=1)["s0"]
         results: list[ChunkResult] = []
@@ -115,32 +115,6 @@ class TestChunkCompletion:
         assert sum(len(result.alarms) for result in results) == report.alarms_raised
         assert not any(result.lost for result in results)
 
-    def test_dropped_alarms_still_resolve_their_chunk(self):
-        """Exactly-once completion even when backpressure drops jobs."""
-        series = fleet(streams=1, size=1200)["s0"]
-        results: list[ChunkResult] = []
-        with ExplanationService(
-            executor="thread",
-            workers=1,
-            queue_capacity=1,
-            policy="drop-oldest",
-            default_config=StreamConfig(window_size=50),
-        ) as service:
-            service.register("s0")
-            chunks = 0
-            for start in range(0, series.size, 60):
-                service.submit("s0", series[start:start + 60], on_complete=results.append)
-                chunks += 1
-            service.drain()
-            report = service.report()
-        assert len(results) == chunks
-        resolved = sum(len(result.alarms) for result in results)
-        assert resolved == report.alarms_raised
-        dropped = sum(
-            1 for result in results for alarm in result.alarms if alarm.dropped
-        )
-        assert dropped == sum(stream.dropped for stream in report.streams)
-
     def test_raising_on_complete_is_deferred_not_fatal(self):
         series = fleet(streams=1)["s0"]
 
@@ -165,9 +139,7 @@ class TestChunkCompletion:
             with lock:
                 seen.append(alarm)
 
-        with ExplanationService(
-            executor="thread", default_config=StreamConfig(window_size=WINDOW)
-        ) as service:
+        with ExplanationService(default_config=StreamConfig(window_size=WINDOW)) as service:
             service.add_alarm_listener(listener)
             for stream_id in sorted(series):
                 service.register(stream_id)
@@ -188,7 +160,7 @@ class TestAsyncExplanationService:
 
         async def run() -> tuple[list[ChunkResult], dict]:
             async with AsyncExplanationService(
-                executor="thread", default_config=StreamConfig(window_size=WINDOW)
+                default_config=StreamConfig(window_size=WINDOW)
             ) as aio:
                 futures = []
                 for stream_id in sorted(series):
@@ -226,9 +198,7 @@ class TestAsyncExplanationService:
         series = fleet(streams=1)["s0"]
 
         async def run() -> list:
-            aio = AsyncExplanationService(
-                executor="thread", default_config=StreamConfig(window_size=WINDOW)
-            )
+            aio = AsyncExplanationService(default_config=StreamConfig(window_size=WINDOW))
             async with aio:
                 stream = aio.alarms()
                 await aio.register("s0")
@@ -302,7 +272,7 @@ class TestAsyncExplanationService:
         """Closing the shared service must end the capacity wait, not spin."""
 
         async def run() -> None:
-            aio = AsyncExplanationService(executor="thread", workers=1)
+            aio = AsyncExplanationService()
             await aio.register("s0")
             aio.service.close()  # out-of-band: the wrapper does not know
             with pytest.raises(ValidationError, match="closed"):
@@ -313,7 +283,7 @@ class TestAsyncExplanationService:
     def test_rejects_service_kwargs_with_prebuilt_service(self):
         service = ExplanationService(executor="inline")
         with pytest.raises(ValidationError):
-            AsyncExplanationService(service, workers=4)
+            AsyncExplanationService(service, metrics=True)
         service.close()
 
 

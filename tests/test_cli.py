@@ -7,7 +7,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cluster.base import EXECUTOR_NAMES
 from repro.datasets.synthetic import drifting_series
+from repro.service import ExplanationService
 from tests.conftest import make_failed_pair
 
 
@@ -124,7 +126,7 @@ class TestServeCommand:
         return paths
 
     def test_serve_replays_fleet_and_reports(self, fleet_files, capsys):
-        code = main(["serve", *fleet_files, "--window", "150", "--workers", "2"])
+        code = main(["serve", *fleet_files, "--window", "150"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Explanation service report" in out
@@ -180,6 +182,13 @@ class TestServeCommand:
         assert code == 0
         assert "alarms raised" in capsys.readouterr().out
 
+    def test_inline_is_the_default_executor(self, fleet_files):
+        assert EXECUTOR_NAMES == ("inline", "process")
+        for command in ("serve", "trace"):
+            assert build_parser().parse_args([command, fleet_files[0]]).executor == "inline"
+        with ExplanationService() as service:
+            assert service.executor.name == "inline"
+
     def test_serve_rejects_unknown_executor(self, fleet_files):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", fleet_files[0], "--executor", "nope"])
@@ -190,10 +199,9 @@ class TestServeCommand:
         code = main(["serve", fleet_files[0], "--shards", "4"])
         assert code == 3
         assert "--shards requires --executor process" in capsys.readouterr().err
-        code = main(["serve", fleet_files[0], "--executor", "process",
-                     "--workers", "8"])
+        code = main(["serve", fleet_files[0], "--queue-capacity", "8"])
         assert code == 3
-        assert "--workers" in capsys.readouterr().err
+        assert "--queue-capacity requires --executor process" in capsys.readouterr().err
 
     def test_serve_elastic_shards(self, fleet_files, capsys):
         code = main([
@@ -229,9 +237,10 @@ class TestServeCommand:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
-    def test_serve_rejects_unknown_policy(self, fleet_files):
+    @pytest.mark.parametrize("flag", ["--workers", "--max-batch", "--policy"])
+    def test_serve_has_no_thread_pool_flags(self, fleet_files, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", fleet_files[0], "--policy", "nope"])
+            build_parser().parse_args(["serve", fleet_files[0], flag, "1"])
 
     def test_serve_requires_series_or_listen(self, capsys):
         code = main(["serve"])

@@ -3,8 +3,8 @@
 Covers the metric primitives (exact histogram merge, pickling, the
 disabled-registry contract), the Prometheus exposition round trip, the
 HTTP exporter, TTL/size-aware cache lifecycle, stage-latency presence
-parity across all three executors, the latency-driven autoscaling policy,
-and the elapsed-time reset on warm restart.
+parity and equal stage sample counts across executors, the latency-driven
+autoscaling policy, and the elapsed-time reset on warm restart.
 """
 
 from __future__ import annotations
@@ -286,7 +286,6 @@ class TestServiceTelemetry:
         "executor,kwargs",
         [
             ("inline", {}),
-            ("thread", {"workers": 2}),
             ("process", {"shards": 2}),
         ],
     )
@@ -323,6 +322,49 @@ class TestServiceTelemetry:
             assert report.latency["batch_wait"]["count"] > 0
         assert "stage latency" in report.render(alarms=False)
 
+    def test_stage_counts_agree_across_executors(self, drifted_values):
+        """The same replay gives the same per-stage sample counts everywhere.
+
+        One ``ingest_enqueue`` and one ``detect`` sample per chunk, one
+        ``explain`` sample per alarm raised, cache hits included (each
+        mirror can reuse its twin's explanation), whether the work runs
+        inline or on one or two process shards.
+        """
+        # A level that flips every window raises an alarm per window.
+        flipping = np.random.default_rng(6).normal(size=1200) + 3.0 * (np.arange(1200) // 150 % 2)
+        streams = {
+            "a": drifted_values,
+            "a-mirror": drifted_values,
+            "b": flipping,
+            "b-mirror": flipping,
+        }
+        counts = {}
+        for executor, kwargs in (
+            ("inline", {}),
+            ("process", {"shards": 1}),
+            ("process", {"shards": 2}),
+        ):
+            with ExplanationService(
+                executor=executor,
+                metrics=True,
+                default_config=StreamConfig(window_size=150),
+                **kwargs,
+            ) as service:
+                for stream_id in streams:
+                    service.register(stream_id)
+                for start in range(0, 1200, 100):
+                    for stream_id, values in streams.items():
+                        service.submit(stream_id, values[start:start + 100])
+                report = service.report()
+            assert report.latency["explain"]["count"] == report.alarms_raised > 0
+            counts[executor, kwargs.get("shards")] = {
+                stage: report.latency[stage]["count"]
+                for stage in ("ingest_enqueue", "detect", "explain")
+            }
+        assert counts[("inline", None)]["ingest_enqueue"] == 4 * 12
+        assert counts[("inline", None)]["detect"] == 4 * 12
+        assert len(set(map(str, counts.values()))) == 1, counts
+
     def test_metrics_disabled_by_default(self, drifted_values):
         with ExplanationService(
             default_config=StreamConfig(window_size=150)
@@ -336,7 +378,6 @@ class TestServiceTelemetry:
     def test_scrape_exposes_stage_and_cache_series(self, drifted_values):
         with ExplanationService(
             metrics=True,
-            workers=2,
             default_config=StreamConfig(window_size=150),
         ) as service:
             service.register("a")
@@ -522,7 +563,6 @@ class TestWireOps:
     def test_metrics_and_stats_ops(self, drifted_values):
         async def run() -> tuple[dict, dict]:
             async with AsyncExplanationService(
-                workers=2,
                 metrics=True,
                 default_config=StreamConfig(window_size=150),
             ) as aio:
@@ -549,7 +589,7 @@ class TestWireOps:
 
     def test_unknown_op_still_errors(self):
         async def run() -> dict:
-            async with AsyncExplanationService(workers=1) as aio:
+            async with AsyncExplanationService() as aio:
                 server = AsyncIngestServer(aio, _NullSource())
                 return await server.handle({"op": "frobnicate"})
 

@@ -76,9 +76,7 @@ class TestServiceEndToEnd:
         expected = list(naive.process(drifted_values))
         assert expected  # the workload must actually drift
 
-        with ExplanationService(
-            workers=2, default_config=StreamConfig(window_size=150)
-        ) as service:
+        with ExplanationService(default_config=StreamConfig(window_size=150)) as service:
             for stream_id in ("a", "b", "c"):
                 service.register(stream_id)
             for start in range(0, drifted_values.size, 100):
@@ -102,17 +100,12 @@ class TestServiceEndToEnd:
                 assert alarm.explanation.reverses_test
 
     def test_replicated_streams_share_cached_explanations(self, drifted_values):
-        with ExplanationService(
-            workers=1, default_config=StreamConfig(window_size=150)
-        ) as service:
+        with ExplanationService(default_config=StreamConfig(window_size=150)) as service:
             for stream_id in ("a", "b", "c", "d"):
                 service.register(stream_id)
             # Sequential replay: stream "a" warms every cache for the rest.
-            # Draining between streams makes the hit pattern deterministic
-            # (no coalescing races to account for).
             for stream_id in ("a", "b", "c", "d"):
                 service.submit(stream_id, drifted_values)
-                service.drain()
             report = service.report()
 
         assert report.alarms_raised >= 4
@@ -128,7 +121,7 @@ class TestServiceEndToEnd:
         assert len(cached) >= 3  # every replica after the first reuses the work
 
     def test_incremental_detector_raises_earlier(self, drifted_values):
-        with ExplanationService(workers=1) as service:
+        with ExplanationService() as service:
             service.register(
                 "windowed", StreamConfig(window_size=150, detector="windowed")
             )
@@ -174,7 +167,7 @@ class TestServiceEndToEnd:
             calls["count"] += 1
             return spectral_residual_preference(reference, test)
 
-        with ExplanationService(workers=1) as service:
+        with ExplanationService() as service:
             service.register("s", StreamConfig(window_size=150, preference=builder))
             service.submit("s", drifted_values)
             report = service.report()
@@ -208,9 +201,7 @@ class TestServiceEndToEnd:
 class TestServiceReport:
     @pytest.fixture
     def report(self, drifted_values):
-        with ExplanationService(
-            workers=2, default_config=StreamConfig(window_size=150)
-        ) as service:
+        with ExplanationService(default_config=StreamConfig(window_size=150)) as service:
             service.register("s1")
             service.register("s2")
             service.submit("s1", drifted_values)

@@ -1,6 +1,6 @@
 """Service snapshot / warm-restart tests (repro.service.snapshot).
 
-The core property — established by hypothesis under all three executors —
+The core property — established by hypothesis under both executors —
 is that splitting a replay at any chunk boundary with
 ``snapshot()`` → new service → ``restore()`` produces a canonical report
 byte-identical to the uninterrupted replay.  On top of that: snapshot file
@@ -31,7 +31,6 @@ from repro.service.snapshot import SNAPSHOT_FILENAME
 
 EXECUTORS = [
     ("inline", {}),
-    ("thread", {"workers": 2}),
     ("process", {"shards": 2}),
 ]
 

@@ -4,7 +4,7 @@ Covers the trace primitives (spans, completion accounting, cross-process
 re-parenting), the tracer's head-based sampling and slow-exemplar
 reservoir, Chrome trace-event export and its structural validator, the
 flight recorder's ring buffers and crash dumps, the JSON event logger,
-and the end-to-end wiring: trace propagation under all three executors,
+and the end-to-end wiring: trace propagation under both executors,
 shard crash handling (lost-chunk spans close with an error status and
 the recorder dumps a post-mortem file), the ``/healthz`` endpoint, the
 ``trace`` wire op, the ``repro trace`` CLI command and the versioned
@@ -80,22 +80,6 @@ class TestSpanPrimitives:
 
 
 class TestChunkTrace:
-    def test_arm_then_children_finish_the_chunk(self):
-        trace = ChunkTrace("repro_00000001", "s")
-        assert trace.arm(2) is False
-        assert trace.child_done() is False
-        assert trace.child_done() is True
-        assert trace.finalize() is True
-        assert trace.finalized
-
-    def test_children_racing_ahead_of_arm_are_credited(self):
-        # The inline executor runs jobs synchronously during dispatch, so
-        # child_done can land before arm.
-        trace = ChunkTrace("repro_00000001", "s")
-        assert trace.child_done() is False
-        assert trace.child_done() is False
-        assert trace.arm(2) is True  # both children already accounted
-
     def test_finalize_closes_unfinished_spans_with_final_status(self):
         trace = ChunkTrace("repro_00000001", "s", clock=lambda: 1.0)
         open_span = trace.start_span("wire_roundtrip")
@@ -339,7 +323,6 @@ class TestTracePropagation:
         "executor,kwargs,expected_stages",
         [
             ("inline", {}, {"ingest_enqueue", "detect", "explain"}),
-            ("thread", {"workers": 2}, {"ingest_enqueue", "batch_wait", "detect", "explain"}),
             (
                 "process",
                 {"shards": 2},
