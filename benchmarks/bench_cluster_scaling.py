@@ -77,10 +77,9 @@ def run_backend(
     chunk: int,
     executor: str,
     shards: int | None = None,
-    transport: str = "framed",
 ):
     """One replay; returns (replay_seconds, report, executor_stats)."""
-    kwargs = {"shards": shards, "transport": transport, "queue_capacity": 512}
+    kwargs = {"shards": shards, "queue_capacity": 512}
     with ExplanationService(
         executor=executor,
         metrics=True,
@@ -107,10 +106,6 @@ def main(argv=None) -> int:
                         help="small workload for CI smoke runs")
     parser.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4],
                         help="process shard counts to sweep (default: 1 2 4)")
-    parser.add_argument("--transport", choices=("framed", "legacy"),
-                        default="framed",
-                        help="wire transport of the process runs "
-                             "(default framed)")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help="where to write the machine-readable JSON")
     args = parser.parse_args(argv)
@@ -129,8 +124,7 @@ def main(argv=None) -> int:
     runs, canonicals = [], {}
     for label, executor, shards in plans:
         seconds, report, xstats = run_backend(
-            fleet, scale["window"], scale["chunk"], executor, shards,
-            transport=args.transport,
+            fleet, scale["window"], scale["chunk"], executor, shards
         )
         canonicals[label] = json.dumps(report.canonical_dict(), sort_keys=True)
         run = {
@@ -145,26 +139,18 @@ def main(argv=None) -> int:
         }
         wire = ""
         if executor == "process":
-            # The tentpole's receipt: how many payload bytes skipped pickle
-            # (rode shared memory) and what each chunk still costs the
-            # pickler on average.
-            shm_bytes = xstats.get("payload_bytes_shm", 0)
+            # What the wire carried: frames, and the payload bytes each
+            # chunk adds to its frame's pickle.
+            frames = xstats.get("frames_sent", 0)
             inline_bytes = xstats.get("payload_bytes_inline", 0)
             ingests = xstats.get("ingests", 0) or 1
-            total = shm_bytes + inline_bytes
             run.update({
-                "transport": xstats.get("transport"),
-                "frame_size": xstats.get("frame_size"),
-                "frames_sent": xstats.get("frames_sent", 0),
-                "payload_bytes_shm": shm_bytes,
+                "frames_sent": frames,
                 "payload_bytes_inline": inline_bytes,
                 "bytes_pickled_per_chunk": round(inline_bytes / ingests, 1),
-                "pickle_avoidance": round(shm_bytes / total, 4) if total else None,
             })
-            if total:
-                wire = (f"   [{xstats.get('transport')}: "
-                        f"{100 * shm_bytes / total:.1f}% of payload bytes "
-                        f"via shm, {inline_bytes / ingests:.0f} B pickled/chunk]")
+            wire = (f"   [{frames} frames, "
+                    f"{inline_bytes / ingests:.0f} B pickled/chunk]")
         runs.append(run)
         explain_p95 = (report.latency.get("explain") or {}).get("p95")
         tail = f"explain p95 {1000 * explain_p95:.1f} ms" if explain_p95 else "no tail"
@@ -202,7 +188,6 @@ def main(argv=None) -> int:
         "streams": scale["streams"],
         "observations": observations,
         "window": scale["window"],
-        "transport": args.transport,
         "runs": runs,
         "parity_ok": parity_ok,
         "process_speedups_vs_inline": speedups_vs_inline,

@@ -174,7 +174,7 @@ def main(argv=None) -> int:
     }
     parity_ok = canonical["elastic"] == canonical["fixed"] == canonical["inline"]
 
-    stats = elastic_report.batcher_stats
+    stats = elastic_report.executor_stats
     clean_migration = (
         elastic_report.state_lost == []
         and stats.get("lost_chunks", 0) == 0

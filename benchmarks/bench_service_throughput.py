@@ -163,7 +163,7 @@ def test_service_beats_naive_per_call_loop(benchmark):
         f"speedup               : {naive_timer.elapsed / service_seconds:.2f}x",
         f"cache hit rate        : {100 * report.cache_hit_rate:.1f}%",
         f"explanation cache     : {report.cache_stats['explanations']}",
-        f"executor              : {report.batcher_stats}",
+        f"executor              : {report.executor_stats}",
         f"metrics overhead      : {100 * best_overhead:+.1f}% "
         f"(best of {len(attempts)} attempt(s); target < {100 * OVERHEAD_TARGET:.0f}%)",
         f"tracing overhead      : {100 * best_trace_overhead:+.1f}% "

@@ -255,15 +255,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError("--queue-capacity requires --executor process")
     if args.executor != "process" and args.shards is not None:
         raise ReproError("--shards requires --executor process")
-    if args.executor != "process" and args.transport is not None:
-        raise ReproError("--transport requires --executor process")
-    if args.frame_size is not None:
-        if args.executor != "process":
-            raise ReproError("--frame-size requires --executor process")
-        if args.transport == "legacy":
-            raise ReproError("--frame-size does not apply to --transport legacy")
-        if args.frame_size < 1:
-            raise ReproError("--frame-size must be at least 1")
     if args.migration_buffer is not None:
         if args.executor != "process":
             raise ReproError("--migration-buffer requires --executor process")
@@ -337,8 +328,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for name, value in (
             ("queue_capacity", args.queue_capacity),
             ("shards", shards),
-            ("transport", args.transport),
-            ("frame_size", args.frame_size),
             ("migration_buffer", args.migration_buffer),
             ("cache_ttl", args.cache_ttl),
             ("metrics", metrics_enabled or None),
@@ -646,17 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--shards", type=int, default=None,
                               help="worker processes for --executor process "
                                    "(default 2)")
-    serve_parser.add_argument("--transport", choices=("framed", "legacy"),
-                              default=None,
-                              help="parent<->shard wire transport for "
-                                   "--executor process: framed (batched "
-                                   "frames + shared-memory payloads; "
-                                   "default) or legacy (one pickle per "
-                                   "chunk)")
-    serve_parser.add_argument("--frame-size", type=int, default=None,
-                              help="chunks per wire frame before an eager "
-                                   "flush (--executor process, framed "
-                                   "transport; default 32)")
     serve_parser.add_argument("--migration-buffer", type=int, default=None,
                               help="chunks parked per resize for streams "
                                    "mid-migration before producers block "

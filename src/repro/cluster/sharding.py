@@ -12,6 +12,14 @@ so a worker dying mid-crash can never poison a lock other workers share —
 multiplexed by one parent collector thread that folds them into the
 service report.
 
+Chunks cross in frames: each shard buffers its pending chunks and ships
+them as one :class:`~repro.cluster.wire.IngestFrame` — arrays inline,
+one pickle pass for the batch — once :data:`FRAME_CHUNKS` have gathered,
+once the oldest has waited :data:`FRAME_LINGER_SECONDS` (a background
+flusher), on ``drain()``, and ahead of every control command, so the
+command queue's FIFO order holds for control commands too.  The worker
+answers each frame with one :class:`~repro.cluster.wire.ReplyFrame`.
+
 Fault handling is shard-level: a worker process that dies — crash, OOM
 kill, the :class:`~repro.cluster.wire.CrashShard` test hook — is detected
 on the next ingest or drain, respawned with a fresh command queue, and its
@@ -51,6 +59,7 @@ never stalls on a freshly spawned worker's cold start.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -61,7 +70,6 @@ import numpy as np
 
 from repro.cluster.base import Executor
 from repro.cluster.partition import HashRing
-from repro.cluster.shm import DEFAULT_RING_BYTES, ChunkRing
 from repro.cluster.wire import (
     CaptureState,
     ChunkBounce,
@@ -98,8 +106,13 @@ def _shard_index(shard_id: str) -> tuple[int, str]:
     return (int(suffix) if suffix.isdigit() else 1 << 30, shard_id)
 
 
-#: Transports :class:`ProcessShardExecutor` speaks on the parent↔shard wire.
-TRANSPORTS = ("framed", "legacy")
+#: Chunks per :class:`~repro.cluster.wire.IngestFrame` before an eager flush.
+FRAME_CHUNKS = 32
+
+#: How long a partially-filled frame may wait for company before the
+#: background flusher ships it anyway, so an awaited single chunk is never
+#: held hostage by a frame that will not fill.
+FRAME_LINGER_SECONDS = 0.002
 
 #: Sentinel "owner" of an in-flight chunk parked for a migrating stream.
 #: Never collides with a real shard id (those are ``shard-N``), so a dead
@@ -118,9 +131,7 @@ class _Shard:
     reply_reader: Optional[object] = None
     restarts: int = 0
     failed: bool = False
-    # Framed transport: this process generation's shared-memory payload
-    # ring and the chunks accumulated for the next frame.
-    ring: Optional[ChunkRing] = None
+    # Chunks accumulated for the next frame.
     pending: list = field(default_factory=list)
     pending_since: Optional[float] = None
 
@@ -148,24 +159,6 @@ class ProcessShardExecutor(Executor):
         shards; ``ingest`` blocks once it is reached, so a producer that
         outruns the shards slows down instead of growing the command queues
         without limit.
-    transport:
-        ``"framed"`` (default) batches up to ``frame_size`` chunks into one
-        :class:`~repro.cluster.wire.IngestFrame` per queue message with
-        array payloads riding each shard's shared-memory ring, and the
-        worker answers with one :class:`~repro.cluster.wire.ReplyFrame`
-        per frame; ``"legacy"`` is the original one-pickle-per-chunk path,
-        kept as a debugging fallback (both produce byte-identical reports).
-    frame_size:
-        Chunks per frame before an eager flush (framed transport).
-    frame_linger_seconds:
-        How long a partially-filled frame may wait for company before the
-        background flusher ships it anyway.  Bounds the latency cost of
-        framing for trickle traffic (an awaited single chunk must not wait
-        on a frame that will never fill).
-    ring_bytes:
-        Capacity of each shard's shared-memory payload ring; ``0`` disables
-        shared memory (frames carry arrays inline — still one pickle pass
-        per batch).
     migration_buffer:
         How many chunks submitted to *migrating* streams may park in the
         parent while their stream's detector state is in flight during a
@@ -187,10 +180,6 @@ class ProcessShardExecutor(Executor):
         max_restarts: int = 3,
         ring_replicas: int = 64,
         capacity: int = 128,
-        transport: str = "framed",
-        frame_size: int = 32,
-        frame_linger_seconds: float = 0.002,
-        ring_bytes: int = DEFAULT_RING_BYTES,
         migration_buffer: int = 64,
     ) -> None:
         super().__init__()
@@ -198,22 +187,8 @@ class ProcessShardExecutor(Executor):
             raise ValidationError("shards must be at least 1")
         if capacity < 1:
             raise ValidationError("capacity must be at least 1")
-        if transport not in TRANSPORTS:
-            raise ValidationError(
-                f"transport must be one of {TRANSPORTS} (got {transport!r})"
-            )
-        if frame_size < 1:
-            raise ValidationError("frame_size must be at least 1")
-        if frame_linger_seconds < 0:
-            raise ValidationError("frame_linger_seconds must be non-negative")
-        if ring_bytes < 0:
-            raise ValidationError("ring_bytes must be non-negative")
         if migration_buffer < 1:
             raise ValidationError("migration_buffer must be at least 1")
-        self.transport = transport
-        self.frame_size = int(frame_size)
-        self.frame_linger = float(frame_linger_seconds)
-        self.ring_bytes = int(ring_bytes)
         self.shard_count = int(shards)
         self.capacity = int(capacity)
         self.max_restarts = int(max_restarts)
@@ -278,16 +253,12 @@ class ProcessShardExecutor(Executor):
         self._ingest_started: dict[int, float] = {}  # seq -> enqueue stamp
         self._shard_ingests: dict[str, int] = {}  # shard id -> chunks routed
         self._worker_metrics: dict[str, dict] = {}
-        # Framed transport bookkeeping: which ring block each in-flight
-        # chunk's payload occupies (released when the chunk resolves), the
-        # background flusher that ships lingering partial frames, and the
-        # pickle-avoidance counters the scaling benchmark reports.
-        self._payload_refs: dict[int, tuple] = {}  # seq -> (ring, offset)
+        # Frames: the background flusher that ships lingering partial
+        # frames, and the wire counters ``stats()`` reports.
         self._flusher: Optional[threading.Thread] = None
         self._flusher_stop = threading.Event()
         self._frames_sent = 0
         self._framed_chunks = 0
-        self._payload_bytes_shm = 0
         self._payload_bytes_inline = 0
 
     # ------------------------------------------------------------------
@@ -316,14 +287,10 @@ class ProcessShardExecutor(Executor):
             target=self._collector_loop, name="repro-shard-collector", daemon=True
         )
         self._collector.start()
-        if self.transport == "framed":
-            # A partially-filled frame may wait at most ``frame_linger`` for
-            # company; this thread ships the stragglers so an awaited single
-            # chunk is never held hostage by a frame that will not fill.
-            self._flusher = threading.Thread(
-                target=self._flusher_loop, name="repro-frame-flusher", daemon=True
-            )
-            self._flusher.start()
+        self._flusher = threading.Thread(
+            target=self._flusher_loop, name="repro-frame-flusher", daemon=True
+        )
+        self._flusher.start()
 
     def _spawn(self, shard: _Shard, respawn: bool = False) -> None:
         """(Re)start one shard process and re-register its streams.
@@ -333,20 +300,12 @@ class ProcessShardExecutor(Executor):
         in ``state_lost_streams``; silent mid-window data loss was exactly
         the reporting bug this marker fixes.
         """
-        # One payload ring per *process generation*: the previous
-        # generation's segment (and any frame still buffered for it) dies
-        # here, so a crashed worker can never leak shared memory — the
-        # parent always holds the segment and always unlinks it.
-        if shard.ring is not None:
-            shard.ring.destroy()
-            shard.ring = None
+        # The previous process generation's lanes, and any frame still
+        # buffered for it, die with it: its chunks were already written off
+        # as lost.
+        self._close_lanes(shard)
         shard.pending.clear()
         shard.pending_since = None
-        if self.transport == "framed" and self.ring_bytes > 0:
-            shard.ring = ChunkRing.create(self.ring_bytes)
-        ring_spec = (
-            (shard.ring.name, shard.ring.capacity) if shard.ring is not None else None
-        )
         shard.commands = self._ctx.Queue()
         shard.control = self._ctx.Queue()
         # Replies travel over a dedicated pipe with exactly one writer (this
@@ -362,7 +321,6 @@ class ProcessShardExecutor(Executor):
                 writer,
                 self._cache_config,
                 self._metrics_on,
-                ring_spec,
                 shard.control,
             ),
             daemon=True,
@@ -399,16 +357,24 @@ class ProcessShardExecutor(Executor):
             )
 
     # ------------------------------------------------------------------
-    # Framed transport plumbing
+    # Frames
     # ------------------------------------------------------------------
+    def _buffer(self, shard: _Shard, chunk: IngestChunk) -> None:
+        """Add one in-flight chunk to the shard's next frame, shipping the
+        frame once it is full (caller holds the lifecycle lock)."""
+        shard.pending.append(chunk)
+        if shard.pending_since is None:
+            shard.pending_since = time.monotonic()
+        if len(shard.pending) >= FRAME_CHUNKS:
+            self._flush_shard(shard)
+
     def _flush_shard(self, shard: _Shard) -> None:
         """Ship a shard's buffered chunks as one frame (caller holds the
-        lifecycle lock).
+        lifecycle lock).  No-op when nothing is pending.
 
-        Payloads spill into the shard's shared-memory ring when it has
-        room; the ring block of every spilled chunk is recorded against its
-        seq so acknowledgement (or abandonment) recycles it.  No-op when
-        nothing is pending.
+        ``encode_frame`` is looked up as this module's global on purpose:
+        perfbench's ``wire.encode`` layer times the frame packing by
+        wrapping that name.
         """
         if not shard.pending:
             shard.pending_since = None
@@ -416,17 +382,11 @@ class ProcessShardExecutor(Executor):
         chunks = shard.pending
         shard.pending = []
         shard.pending_since = None
-        frame = encode_frame(chunks, shard.ring)
+        frame = encode_frame(chunks)
         with self._cv:
-            for framed in frame.chunks:
-                if framed.payload is not None:
-                    self._payload_refs[framed.seq] = (
-                        shard.ring,
-                        framed.payload.offset,
-                    )
-                    self._payload_bytes_shm += framed.payload.nbytes
-                elif framed.values is not None:
-                    self._payload_bytes_inline += int(framed.values.nbytes)
+            self._payload_bytes_inline += sum(
+                int(chunk.values.nbytes) for chunk in frame.chunks
+            )
             self._frames_sent += 1
             self._framed_chunks += len(frame.chunks)
         shard.commands.put(frame)
@@ -461,8 +421,7 @@ class ProcessShardExecutor(Executor):
         # Wakes at half the linger so a partial frame overshoots its
         # deadline by at most ~linger/2; the lifecycle lock serialises each
         # flush against ingest and crash handling.
-        interval = max(self.frame_linger / 2, 0.0005)
-        while not self._flusher_stop.wait(interval):
+        while not self._flusher_stop.wait(FRAME_LINGER_SECONDS / 2):
             now = time.monotonic()
             with self._lifecycle:
                 if self._closed:
@@ -471,7 +430,7 @@ class ProcessShardExecutor(Executor):
                     if (
                         shard.pending
                         and shard.pending_since is not None
-                        and now - shard.pending_since >= self.frame_linger
+                        and now - shard.pending_since >= FRAME_LINGER_SECONDS
                     ):
                         self._flush_shard(shard)
 
@@ -522,18 +481,13 @@ class ProcessShardExecutor(Executor):
         if self._collector is not None:
             self._collector.join(timeout=10)
         with self._lifecycle:
-            # Every worker is gone: unlink the payload rings (drain=False
+            # Every worker is gone: release the command lanes (drain=False
             # simply discards whatever frames were still buffered — their
-            # completions resolve as lost below, like any in-flight chunk)
-            # and release the command lanes.
+            # completions resolve as lost below, like any in-flight chunk).
             for shard in self._shards.values():
                 shard.pending.clear()
-                if shard.ring is not None:
-                    shard.ring.destroy()
-                    shard.ring = None
                 self._close_lanes(shard)
         with self._cv:
-            self._payload_refs.clear()
             # Parked chunks are in ``_outstanding`` too (owner _PARKED), so
             # the loss accounting below covers them; their buffers just die.
             self._parked.clear()
@@ -564,19 +518,29 @@ class ProcessShardExecutor(Executor):
         when the queue is freed, and the service and its executor form a
         reference cycle that only the cyclic GC breaks; left to it, the
         semaphores outlive the service and the resource tracker reports
-        them leaked.  A worker that exited cleanly read everything up to
-        its ``Shutdown``, so the feeder thread has nothing left to write
-        and joins at once; for a killed worker the unread tail is
-        abandoned instead, since a feeder blocked on a full pipe would
-        never join.
+        them leaked.  The queue's feeder thread holds its write lock and
+        semaphore until it has written everything put on the queue, so it
+        must be joined — but a killed worker leaves an unread tail, and a
+        feeder blocked on that full pipe would never finish.  The parent
+        holds each lane's read end, so it reads the pipe dry (raw bytes,
+        through its own descriptor: the feeder closes the queue's reader on
+        its way out, and a killed worker may have left half a message)
+        until the feeder has written its last item.
         """
-        clean = shard.process is not None and shard.process.exitcode == 0
         for lane in (shard.commands, shard.control):
             if lane is None:
                 continue
-            if not clean:
-                lane.cancel_join_thread()
-            lane.close()
+            drain_fd = os.dup(lane._reader.fileno())
+            try:
+                lane.close()
+                feeder = lane._thread
+                while feeder is not None and feeder.is_alive():
+                    if connection_wait([drain_fd], timeout=0.01) and not os.read(
+                        drain_fd, 1 << 16
+                    ):
+                        break  # every write end is closed: nothing more comes
+            finally:
+                os.close(drain_fd)
             lane.join_thread()
         shard.commands = shard.control = None
 
@@ -670,19 +634,11 @@ class ProcessShardExecutor(Executor):
                                 enqueued_at=stamp,
                                 trace=context,
                             )
-                            if self.transport == "framed":
-                                # Buffer toward a frame; the seq is already
-                                # in-flight (capacity, completion, trace all
-                                # recorded above), so a buffered chunk is
-                                # indistinguishable from an enqueued one to
-                                # every other subsystem.
-                                shard.pending.append(chunk)
-                                if shard.pending_since is None:
-                                    shard.pending_since = time.monotonic()
-                                if len(shard.pending) >= self.frame_size:
-                                    self._flush_shard(shard)
-                            else:
-                                shard.commands.put(chunk)
+                            # The seq is already in flight (capacity,
+                            # completion, trace all recorded above), so a
+                            # buffered chunk is indistinguishable from an
+                            # enqueued one to every other subsystem.
+                            self._buffer(shard, chunk)
                             return
             # A dead shard (not necessarily this stream's) may be pinning
             # the capacity with chunks it will never acknowledge; reap all
@@ -833,9 +789,6 @@ class ProcessShardExecutor(Executor):
                     # A chunk dying with its source can no longer gate its
                     # stream's install (the stream falls back fresh anyway).
                     self._discard_await_locked(stream_id, seq)
-                # No free: the generation's ring is about to be destroyed
-                # (or already was), taking every live block with it.
-                self._payload_refs.pop(seq, None)
             self._lost_chunks += len(lost)
             completions = [
                 self._completions.pop(seq) for seq in lost if seq in self._completions
@@ -914,9 +867,7 @@ class ProcessShardExecutor(Executor):
             self._recorder.dump(f"retire-{shard.shard_id}")
         del self._shards[shard.shard_id]
         shard.pending.clear()
-        if shard.ring is not None:
-            shard.ring.destroy()
-            shard.ring = None
+        self._close_lanes(shard)
         snapshot = self.hooks.snapshot() if self.hooks is not None else {}
         moved = sorted(
             stream_id
@@ -1012,7 +963,6 @@ class ProcessShardExecutor(Executor):
             self._migrations[epoch] = {
                 "out_pending": {},  # source shard id -> process at enqueue time
                 "in_pending": {},  # dest shard id -> un-acked MigrateIn count
-                "states": {},  # batched payloads (MigrateOutDone compat)
                 "moved": {},  # stream id -> config snapshot
                 "source": {},  # stream id -> source shard id
                 "arrived": {},  # stream id -> payload (None = fresh fallback)
@@ -1165,9 +1115,7 @@ class ProcessShardExecutor(Executor):
                     victim.process.terminate()
                     victim.process.join(1)
             victim.pending.clear()
-            if victim.ring is not None:
-                victim.ring.destroy()
-                victim.ring = None
+            self._close_lanes(victim)
 
     def _note_migration_begin(self, epoch: int, moved: dict, grow: bool) -> None:
         """Count + record the opening of one migration epoch."""
@@ -1381,14 +1329,7 @@ class ProcessShardExecutor(Executor):
             )
             if stamp is not None and self._metrics_on:
                 self._ingest_started[seq] = stamp
-        if self.transport == "framed":
-            dest.pending.append(chunk)
-            if dest.pending_since is None:
-                dest.pending_since = time.monotonic()
-            if len(dest.pending) >= self.frame_size:
-                self._flush_shard(dest)
-        else:
-            dest.commands.put(chunk)
+        self._buffer(dest, chunk)
 
     def _prune_epoch_locked(self, epoch: int) -> None:
         """Drop a finished epoch record once nothing references it (caller
@@ -1632,9 +1573,8 @@ class ProcessShardExecutor(Executor):
 
     def _handle_reply(self, reply) -> None:
         if isinstance(reply, ReplyFrame):
-            # One message, many acknowledgements: unwrap in frame order so
-            # per-chunk handling (completions, traces, ring recycling) is
-            # identical to the legacy one-reply-per-chunk path.
+            # One message, many acknowledgements: unwrap in frame order, so
+            # each entry is handled exactly as a lone reply would be.
             for entry in reply.replies:
                 self._handle_reply(entry)
             return
@@ -1674,13 +1614,6 @@ class ProcessShardExecutor(Executor):
             with self._cv:
                 record = self._migrations.get(reply.epoch)
                 if record is not None:
-                    # ``states`` is normally empty now (the payloads rode
-                    # per-stream MigrateStreamDone messages); folding any
-                    # batched leftovers keeps the wire contract permissive.
-                    record["states"].update(reply.states)
-                    for sid, payload in reply.states.items():
-                        if sid not in record.get("installed", ()):
-                            record.setdefault("arrived", {})[sid] = payload
                     record["out_pending"].pop(reply.shard_id, None)
                     self._prune_epoch_locked(reply.epoch)
                     self._cv.notify_all()
@@ -1757,12 +1690,11 @@ class ProcessShardExecutor(Executor):
         set, which is exactly what gates the stream's install.  A bounce
         for a stream whose migration already resolved (deadline fallback)
         cannot replay in order any more and resolves as lost; one for a seq
-        already written off (source died, close()) is just recycled.
+        already written off (source died, close()) is just dropped.
         """
         lost_completion = None
         lost_entry = None
         with self._cv:
-            payload = self._payload_refs.pop(reply.seq, None)
             owner = self._outstanding.get(reply.seq)
             if owner is None:
                 self._seq_streams.pop(reply.seq, None)
@@ -1794,9 +1726,6 @@ class ProcessShardExecutor(Executor):
                 lost_completion = self._completions.pop(reply.seq, None)
                 lost_entry = self._chunk_traces.pop(reply.seq, None)
                 self._cv.notify_all()
-        if payload is not None:
-            ring, offset = payload
-            ring.free(offset)
         if lost_entry is not None or lost_completion is not None:
             self._finish_trace(
                 lost_entry, "lost", error="bounced chunk outlived its migration"
@@ -1818,18 +1747,11 @@ class ProcessShardExecutor(Executor):
             if stream_id is not None and self._migrations:
                 self._discard_await_locked(stream_id, seq)
             started = self._ingest_started.pop(seq, None)
-            payload = self._payload_refs.pop(seq, None)
             if not known and served and self._lost_chunks > 0:
                 # The chunk was abandoned as lost when its shard died, but
                 # its reply had already made it out: it was fully served.
                 self._lost_chunks -= 1
             self._cv.notify_all()
-        if payload is not None:
-            # Recycle the chunk's ring block (outside _cv: the ring has its
-            # own lock).  A stale free into a destroyed generation's ring is
-            # a no-op by design.
-            ring, offset = payload
-            ring.free(offset)
         if served and started is not None and self._m_wire is not None:
             # Enqueue-to-acknowledgement: queue residency + detection +
             # explanation + the reply's trip back, i.e. what a producer
@@ -1882,13 +1804,12 @@ class ProcessShardExecutor(Executor):
     def drain(self, timeout: Optional[float] = None) -> bool:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            if self.transport == "framed":
-                # Ship every partial frame now instead of waiting out the
-                # linger: a drain means "no more company is coming".
-                with self._lifecycle:
-                    if not self._closed:
-                        for shard in self._shards.values():
-                            self._flush_shard(shard)
+            # Ship every partial frame now instead of waiting out the
+            # linger: a drain means "no more company is coming".
+            with self._lifecycle:
+                if not self._closed:
+                    for shard in self._shards.values():
+                        self._flush_shard(shard)
             with self._cv:
                 if not self._outstanding:
                     break
@@ -1913,11 +1834,8 @@ class ProcessShardExecutor(Executor):
                 "executor": self.name,
                 "shards": self.shard_count,
                 "capacity": self.capacity,
-                "transport": self.transport,
-                "frame_size": self.frame_size,
                 "frames_sent": self._frames_sent,
                 "framed_chunks": self._framed_chunks,
-                "payload_bytes_shm": self._payload_bytes_shm,
                 "payload_bytes_inline": self._payload_bytes_inline,
                 "ingests": self._ingests,
                 "shard_ingests": dict(self._shard_ingests),

@@ -48,34 +48,25 @@ Because each shard's command queue and reply pipe are FIFO, a
 after it — the migration machinery leans on that ordering instead of extra
 round trips.
 
-Framed transport
-----------------
-Under the default ``framed`` transport the per-chunk messages above are the
-*logical* protocol but not the physical one: the parent packs up to
-``frame_size`` pending :class:`IngestChunk`\\ s into one :class:`IngestFrame`
-(a single pickle pass for the whole batch) and the worker answers each
+Frames
+------
+The per-chunk messages above are the *logical* protocol but not the
+physical one: the parent packs up to
+:data:`~repro.cluster.sharding.FRAME_CHUNKS` (32) pending
+:class:`IngestChunk`\\ s into one :class:`IngestFrame` (a single pickle
+pass for the whole batch, arrays included) and the worker answers each
 frame with one :class:`ReplyFrame` carrying the corresponding
-:class:`IngestReply`/:class:`WorkerFailure` entries.  Numeric payloads do
-not ride the pickle at all when a shard's shared-memory
-:class:`~repro.cluster.shm.ChunkRing` has room: :func:`encode_frame` copies
-the chunk's array into the ring and ships a
-:class:`~repro.cluster.shm.PayloadRef` instead; :func:`decode_frame`
-rebuilds the array on the worker side.  A full ring (or an un-ringable
-dtype) falls back to carrying the array inline, and the ``legacy``
-transport skips framing entirely — both fallbacks produce byte-identical
-chunks, which is what the codec's property tests pin.  Every non-ingest
-command still travels unframed, *after* the pending frame is flushed, so
-the FIFO ordering contract above survives framing.
+:class:`IngestReply`/:class:`WorkerFailure` entries.  Every non-ingest
+command travels unframed, *after* the pending frame is flushed, so the
+FIFO ordering contract above survives framing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
-
-from repro.cluster.shm import ChunkRing, PayloadRef, RingFull
 
 
 # ----------------------------------------------------------------------
@@ -280,8 +271,7 @@ class ChunkBounce:
     owner strictly behind the stream's install — bounced seqs all precede
     the parent-parked ones, so a seq-ordered replay reconstructs the
     producer's exact submission order and nothing is lost or re-served.
-    ``values`` is the decoded payload (copied off the shared-memory ring
-    by pickling, so the parent may recycle the ring block on receipt).
+    ``values`` is the chunk's payload, so the parent can replay it.
     """
 
     shard_id: str
@@ -294,16 +284,13 @@ class ChunkBounce:
 class MigrateOutDone:
     """End-of-extraction marker closing one :class:`MigrateOut` request.
 
-    ``states`` maps ``stream_id -> {"config": dict, "state": dict}`` for
-    any requested streams not already shipped as per-stream
-    :class:`MigrateStreamDone` replies (current workers stream everything
-    and send this marker empty; the field remains for mixed-version
-    tolerance).
+    Every requested stream has already shipped as its own
+    :class:`MigrateStreamDone`; this marker only tells the parent that the
+    source has nothing more to say about the epoch.
     """
 
     shard_id: str
     epoch: int
-    states: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -348,30 +335,13 @@ class StateCaptureReply:
 
 
 # ----------------------------------------------------------------------
-# Framed transport: many chunks per message, payloads in shared memory
+# Frames: many chunks per message
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FramedChunk:
-    """One :class:`IngestChunk` inside a frame, its payload possibly in shm.
-
-    Exactly one of ``payload`` (a :class:`~repro.cluster.shm.PayloadRef`
-    into the shard's ring) and ``values`` (the inline pickled array, the
-    fallback when the ring is full or the dtype is un-ringable) is set.
-    """
-
-    seq: int
-    stream_id: str
-    payload: Optional[PayloadRef] = None
-    values: Optional[np.ndarray] = None
-    enqueued_at: Optional[float] = None
-    trace: Optional[object] = None
-
-
 @dataclass(frozen=True)
 class IngestFrame:
     """A batch of chunks crossing the wire as one message (one pickle pass)."""
 
-    chunks: tuple[FramedChunk, ...]
+    chunks: tuple[IngestChunk, ...]
 
 
 @dataclass
@@ -379,100 +349,18 @@ class ReplyFrame:
     """The worker's answers to one :class:`IngestFrame`, as one message.
 
     ``replies`` holds one entry per frame chunk, in frame order: an
-    :class:`IngestReply` for a served chunk or a :class:`WorkerFailure`
-    (with ``seq`` set) for a chunk that failed to decode or process —
-    per-chunk error isolation survives batching.
+    :class:`IngestReply` for a served chunk, a :class:`ChunkBounce` for a
+    chunk of a stream that migrated out, or a :class:`WorkerFailure`
+    (with ``seq`` set) for a chunk that failed to process — per-chunk
+    error isolation survives batching.
     """
 
     replies: list = field(default_factory=list)
 
 
-def encode_frame(
-    chunks: list[IngestChunk], ring: Optional[ChunkRing]
-) -> IngestFrame:
-    """Pack pending chunks into one frame, spilling payloads into the ring.
-
-    Each chunk's array goes into ``ring`` when it fits (the frame then
-    carries only a :class:`~repro.cluster.shm.PayloadRef`); a full or
-    absent ring degrades that chunk to an inline array, never an error.
-    The caller owns the ring lifecycle: every shm-carried chunk's
-    ``ref.offset`` must be freed when the chunk is acknowledged or
-    abandoned.
-    """
-    framed = []
-    for chunk in chunks:
-        payload = None
-        values: Optional[np.ndarray] = chunk.values
-        if ring is not None:
-            try:
-                payload = ring.write(chunk.values)
-                values = None
-            except (RingFull, ValueError):
-                payload = None
-        framed.append(
-            FramedChunk(
-                seq=chunk.seq,
-                stream_id=chunk.stream_id,
-                payload=payload,
-                values=values,
-                enqueued_at=chunk.enqueued_at,
-                trace=chunk.trace,
-            )
-        )
-    return IngestFrame(chunks=tuple(framed))
-
-
-def decode_chunk(framed: FramedChunk, ring: Optional[ChunkRing]) -> IngestChunk:
-    """Rebuild one logical :class:`IngestChunk` from its frame entry.
-
-    Raises when the payload descriptor is unreadable (missing ring,
-    out-of-bounds or inconsistent ref) — the worker turns that into a
-    per-chunk :class:`WorkerFailure` so a corrupt frame entry surfaces
-    attributably instead of hanging the chunk.
-    """
-    if framed.payload is not None:
-        if ring is None:
-            raise ValueError(
-                f"chunk seq={framed.seq} references shared memory but this "
-                "worker has no ring attached"
-            )
-        values = ring.read(framed.payload)
-    else:
-        values = framed.values
-        if values is None:
-            raise ValueError(f"chunk seq={framed.seq} carries no payload at all")
-    return IngestChunk(
-        seq=framed.seq,
-        stream_id=framed.stream_id,
-        values=values,
-        enqueued_at=framed.enqueued_at,
-        trace=framed.trace,
-    )
-
-
-def decode_frame(
-    frame: IngestFrame, ring: Optional[ChunkRing], shard_id: str = ""
-) -> list[Union[IngestChunk, "WorkerFailure"]]:
-    """Decode every frame entry, isolating per-chunk decode failures.
-
-    Returns a list aligned with the frame: an :class:`IngestChunk` per
-    decodable entry, a :class:`WorkerFailure` (``seq`` set, ``command``
-    ``"IngestFrame"``) per entry that could not be decoded.
-    """
-    out: list[Union[IngestChunk, WorkerFailure]] = []
-    for framed in frame.chunks:
-        try:
-            out.append(decode_chunk(framed, ring))
-        except Exception as exc:
-            out.append(
-                WorkerFailure(
-                    shard_id=shard_id,
-                    message=f"frame chunk decode failed: {exc!r}",
-                    seq=framed.seq,
-                    command="IngestFrame",
-                )
-            )
-    return out
+def encode_frame(chunks: list[IngestChunk]) -> IngestFrame:
+    """Pack pending chunks, arrays and all, into one frame."""
+    return IngestFrame(chunks=tuple(chunks))
 
 
 @dataclass

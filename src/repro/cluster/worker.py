@@ -6,12 +6,11 @@ private :class:`~repro.cluster.runtime.ShardRuntime` — its own detectors,
 explainers and caches — and speaks the :mod:`repro.cluster.wire` protocol:
 commands in, one reply per ingest out.
 
-Under the framed transport the ingest unit is an
-:class:`~repro.cluster.wire.IngestFrame`: the worker decodes each entry
-(reading shared-memory payloads off its :class:`~repro.cluster.shm.ChunkRing`),
-serves the chunks in frame order and answers with a single
-:class:`~repro.cluster.wire.ReplyFrame` — one deserialisation and one
-serialisation pass per batch instead of per chunk.
+The ingest unit is an :class:`~repro.cluster.wire.IngestFrame` whose
+chunks carry their arrays inline: the worker serves them in frame order
+and answers with a single :class:`~repro.cluster.wire.ReplyFrame` — one
+deserialisation and one serialisation pass per batch instead of per
+chunk.
 
 A :class:`~repro.cluster.wire.MigrateOut` arrives on a dedicated
 *priority control lane* the worker polls ahead of its command queue —
@@ -30,7 +29,7 @@ chunk is served exactly once, on exactly one side of the migration.
 
 Error discipline mirrors the inline path's: an explainer failing on one
 alarm is captured *per alarm* inside the reply; a chunk that fails to
-decode or process becomes a per-chunk
+process becomes a per-chunk
 :class:`~repro.cluster.wire.WorkerFailure` *inside* the reply frame (its
 siblings still get served); anything else that goes wrong processing a
 command becomes a frame-less ``WorkerFailure`` reply and the worker keeps
@@ -46,7 +45,6 @@ from collections import deque
 from queue import Empty
 
 from repro.cluster.runtime import ShardRuntime
-from repro.cluster.shm import ChunkRing
 from repro.obs.metrics import MetricsRegistry, stage_histogram
 from repro.obs.trace import span_dict
 from repro.cluster.wire import (
@@ -71,7 +69,6 @@ from repro.cluster.wire import (
     StateCaptureReply,
     WorkerFailure,
     WorkerReady,
-    decode_frame,
 )
 from repro.service.cache import SharedCaches
 
@@ -81,8 +78,9 @@ def _serve_chunk(
 ) -> IngestReply:
     """Run one logical chunk through the runtime, returning its reply.
 
-    Shared by the framed and legacy paths so batching cannot change what a
-    chunk computes — only how it travels.
+    Shared by framed chunks and the bare chunks of a swept migration
+    backlog, so batching cannot change what a chunk computes — only how
+    it travels.
     """
     trace_spans = None
     if command.enqueued_at is not None:
@@ -131,7 +129,6 @@ def shard_worker_main(
     replies,
     cache_config=None,
     metrics_enabled: bool = False,
-    ring_spec=None,
     control=None,
 ) -> None:
     """Serve one shard until told to shut down.
@@ -156,11 +153,6 @@ def shard_worker_main(
         labelled with this shard's id) and ships its ``state_dict`` inside
         every :class:`~repro.cluster.wire.ShardStatsReply`, where the
         parent merges it into the service-wide registry.
-    ring_spec:
-        ``(name, capacity)`` of this shard's parent-owned shared-memory
-        :class:`~repro.cluster.shm.ChunkRing` (framed transport), or
-        ``None`` under the legacy transport.  The worker only ever *reads*
-        payloads; the parent owns allocation, recycling and unlinking.
     control:
         Priority control lane (a second multiprocessing queue) carrying
         only :class:`~repro.cluster.wire.MigrateOut` commands.  Polled
@@ -184,18 +176,6 @@ def shard_worker_main(
         replies.send(
             WorkerFailure(shard_id, f"backend entry-point loading failed: {exc!r}")
         )
-    ring = None
-    if ring_spec is not None:
-        try:
-            ring = ChunkRing.attach(*ring_spec)
-        except Exception as exc:
-            # Served chunks will still arrive (inline fallback never hits
-            # this worker: the parent wrote into the ring successfully or
-            # inlined), so a missing ring surfaces per chunk at decode;
-            # report the attach failure once, attributably, up front.
-            replies.send(
-                WorkerFailure(shard_id, f"chunk ring attach failed: {exc!r}")
-            )
     metrics = MetricsRegistry(enabled=True) if metrics_enabled else None
     batch_wait = stage_histogram(metrics, "batch_wait", shard=shard_id)
     runtime = ShardRuntime(
@@ -246,11 +226,7 @@ def shard_worker_main(
             except Empty:
                 break
             if isinstance(item, IngestFrame):
-                for entry in decode_frame(item, ring, shard_id):
-                    if isinstance(entry, WorkerFailure):
-                        replies.send(entry)
-                    else:
-                        backlog.append(entry)
+                backlog.extend(item.chunks)
             else:
                 backlog.append(item)
         # One pass over the backlog, in arrival order: chunks of migrating
@@ -312,7 +288,7 @@ def shard_worker_main(
                     state=payload,
                 )
             )
-        replies.send(MigrateOutDone(shard_id=shard_id, epoch=command.epoch, states={}))
+        replies.send(MigrateOutDone(shard_id=shard_id, epoch=command.epoch))
 
     def _poll_control() -> None:
         if control is None:
@@ -327,23 +303,21 @@ def shard_worker_main(
             backlog.append(priority)
 
     def _serve_ingest(command) -> None:
-        """Serve one ingest command (frame or legacy chunk), reply included.
+        """Serve one ingest command (a frame, or a bare chunk from the swept
+        migration backlog), reply included.
 
         One reply frame per ingest frame, entries in frame order; a chunk
-        that fails to decode or serve degrades to its own WorkerFailure
-        entry instead of poisoning its siblings.  The control lane is
-        polled between chunks, so a MigrateOut interrupts a long frame
-        after the current chunk — the rest of the frame's migrating
-        chunks then bounce (inside the same reply frame) instead of being
-        served against state that already left.
+        that fails to serve degrades to its own WorkerFailure entry
+        instead of poisoning its siblings.  The control lane is polled
+        between chunks, so a MigrateOut interrupts a long frame after the
+        current chunk — the rest of the frame's migrating chunks then
+        bounce (inside the same reply frame) instead of being served
+        against state that already left.
         """
         try:
             if isinstance(command, IngestFrame):
                 frame_replies = []
-                for item in decode_frame(command, ring, shard_id):
-                    if isinstance(item, WorkerFailure):
-                        frame_replies.append(item)
-                        continue
+                for item in command.chunks:
                     _poll_control()
                     if item.stream_id in exported and item.stream_id not in runtime:
                         frame_replies.append(_bounce(item))
@@ -387,8 +361,6 @@ def shard_worker_main(
                 continue
         try:
             if isinstance(command, Shutdown):
-                if ring is not None:
-                    ring.close()
                 return
             if isinstance(command, CrashShard):
                 # Simulated hard crash: no cleanup, no goodbye message.

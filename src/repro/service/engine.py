@@ -10,7 +10,8 @@ detectors and routes the work through a pluggable *executor*
   caches;
 * ``executor="process"`` — streams consistent-hashed onto ``shards`` worker
   processes that own detector state, explainers and per-shard caches, for
-  multi-core serving of the GIL-bound MOCHE hot path.
+  multi-core serving of the GIL-bound MOCHE hot path.  Chunks cross to the
+  shards in frames of up to 32, arrays inline (:mod:`repro.cluster.wire`).
 
 Both backends produce identical alarms and explanations on the same input
 (see :meth:`~repro.service.results.ServiceReport.canonical_dict`).
@@ -126,15 +127,6 @@ class ExplanationService:
         (default ``"spawn"``).  The CLI cross-validates these flag/executor
         combinations; the library constructor simply ignores options the
         chosen backend does not take.
-    transport:
-        Parent↔shard wire transport (``process`` executor only):
-        ``"framed"`` (default) batches chunks into one message per frame
-        with array payloads riding per-shard shared memory; ``"legacy"``
-        is the original one-pickle-per-chunk path, kept as a debugging
-        fallback.  Both produce byte-identical reports.
-    frame_size:
-        Chunks per frame before an eager flush (``process`` executor,
-        framed transport only).
     migration_buffer:
         Chunks the parent will park per resize for streams that are
         mid-migration before applying backpressure (``process`` executor
@@ -186,8 +178,6 @@ class ExplanationService:
         executor: Union[str, Executor] = "inline",
         shards: int = 2,
         mp_context: Optional[str] = None,
-        transport: str = "framed",
-        frame_size: int = 32,
         migration_buffer: int = 64,
         metrics: bool = False,
         cache_ttl: Optional[float] = None,
@@ -241,8 +231,6 @@ class ExplanationService:
                     shards,
                     mp_context,
                     self._cache_lifecycle,
-                    transport,
-                    frame_size,
                     migration_buffer,
                 ),
             )
@@ -259,8 +247,7 @@ class ExplanationService:
     @staticmethod
     def _executor_options(
         name: str, capacity, shards, mp_context,
-        cache_lifecycle=None, transport="framed", frame_size=32,
-        migration_buffer=64,
+        cache_lifecycle=None, migration_buffer=64,
     ) -> dict:
         """The constructor options each named executor understands."""
         if name == "process":
@@ -268,8 +255,6 @@ class ExplanationService:
                 "shards": shards,
                 "mp_context": mp_context,
                 "capacity": capacity,
-                "transport": transport,
-                "frame_size": frame_size,
                 "migration_buffer": migration_buffer,
             }
             if cache_lifecycle:
@@ -807,7 +792,7 @@ class ExplanationService:
         return ServiceReport(
             streams=streams,
             cache_stats=cache_stats,
-            batcher_stats=stats,
+            executor_stats=stats,
             elapsed_seconds=elapsed,
             cache_hit_rate=hit_rate,
             restarts=int(stats.get("restarts", 0)),

@@ -154,7 +154,7 @@ class ServiceReport:
 
     streams: list[StreamReport]
     cache_stats: dict[str, dict]
-    batcher_stats: dict
+    executor_stats: dict
     elapsed_seconds: float
     cache_hit_rate: float
     restarts: int = 0
@@ -212,7 +212,7 @@ class ServiceReport:
                 "state_lost": list(self.state_lost),
             },
             "caches": self.cache_stats,
-            "batcher": self.batcher_stats,
+            "executor": self.executor_stats,
             "latency": self.latency,
         }
 
@@ -229,7 +229,7 @@ class ServiceReport:
             f"({self.throughput:,.0f} obs/s)",
             f"cache hit rate     : {100 * self.cache_hit_rate:.1f}%",
         ]
-        stats = dict(self.batcher_stats or {})
+        stats = dict(self.executor_stats or {})
         name = stats.pop("executor", "inline")
         stats.pop("state_lost_streams", None)  # rendered on its own line below
         detail = ", ".join(f"{key} {value}" for key, value in stats.items())

@@ -237,8 +237,10 @@ class TestServeCommand:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--workers", "--max-batch", "--policy"])
-    def test_serve_has_no_thread_pool_flags(self, fleet_files, flag):
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--max-batch", "--policy", "--transport", "--frame-size"]
+    )
+    def test_serve_rejects_removed_flags(self, fleet_files, flag):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", fleet_files[0], flag, "1"])
 

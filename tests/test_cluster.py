@@ -189,10 +189,62 @@ service = ExplanationService(
 )
 service.register("s")
 service.submit("s", np.arange(200, dtype=float))
+service.close(drain={drain})
+del service
+resource_tracker._resource_tracker._stop()
+"""
+
+BACKLOGGED_KILL_SCRIPT = """
+import gc
+import os
+import signal
+from multiprocessing import resource_tracker
+
+import numpy as np
+
+from repro.service import ExplanationService, StreamConfig
+
+gc.disable()
+service = ExplanationService(
+    executor="process", shards=1, default_config=StreamConfig(window_size=50)
+)
+service.register("s")
+assert service.wait_ready(timeout=60)
+(shard,) = service.executor._shards.values()
+os.kill(shard.process.pid, signal.SIGSTOP)
+for _ in range(120):  # ~4 MB of frames: far more than the pipe holds
+    service.submit("s", np.zeros(4000))
+service.drain(timeout=0)  # ships the last partial frame
+os.kill(shard.process.pid, signal.SIGKILL)
+shard.process.join(30)
+service.submit("s", np.zeros(200))  # respawns the shard
 service.close()
 del service
 resource_tracker._resource_tracker._stop()
 """
+
+
+def run_clean_child(script: str) -> None:
+    """Run ``script`` in a child interpreter; it must exit 0 and print nothing.
+
+    Scripts turn the cyclic GC off, so only what ``close()`` frees is
+    freed; stopping the resource tracker then warns about anything still
+    registered, and the finalizers of what it unlinked print tracebacks.
+    A queue feeder stuck on a full pipe would hang interpreter exit, which
+    the timeout turns into a failure.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == ""
 
 
 class TestProcessShardFaults:
@@ -210,7 +262,7 @@ class TestProcessShardFaults:
             # snapshot (fresh detector state), so a full replay alarms.
             service.submit("a", drifted_values)
             report = service.report()
-        stats = report.batcher_stats
+        stats = report.executor_stats
         assert stats["restarts"] >= 1
         by_id = {stream.stream_id: stream for stream in report.streams}
         assert by_id["a"].alarms_raised >= 1
@@ -230,8 +282,8 @@ class TestProcessShardFaults:
             for start in range(0, drifted_values.size, 50):
                 service.submit("s", drifted_values[start:start + 50])
             report = service.report()
-        assert report.batcher_stats["capacity"] == 2
-        assert report.batcher_stats["lost_chunks"] == 0
+        assert report.executor_stats["capacity"] == 2
+        assert report.executor_stats["lost_chunks"] == 0
         stream = report.streams[0]
         assert stream.observations == drifted_values.size
         assert stream.alarms_raised >= 1
@@ -271,26 +323,16 @@ class TestProcessShardFaults:
         with pytest.raises(ValidationError):
             service.submit("s", np.zeros(10))
 
-    def test_close_leaves_nothing_for_the_resource_tracker(self):
-        """``close()`` alone releases every named semaphore and segment.
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_close_leaves_nothing_for_the_resource_tracker(self, drain):
+        """``close()`` alone releases every named semaphore, whether it
+        drains or kills the workers with their queues unread."""
+        run_clean_child(CLEAN_SHUTDOWN_SCRIPT.format(drain=drain))
 
-        The script runs in a child interpreter with the cyclic GC off, so
-        only what ``close()`` frees is freed; stopping the resource tracker
-        then warns about anything still registered, and the finalizers of
-        what it unlinked print tracebacks.  A clean close prints nothing.
-        """
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        completed = subprocess.run(
-            [sys.executable, "-c", CLEAN_SHUTDOWN_SCRIPT],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stderr == ""
+    def test_respawn_after_a_backlogged_kill_exits_clean(self):
+        """A shard killed with its command pipe full leaves a queue whose
+        feeder is stuck mid-write; its respawn must release that queue."""
+        run_clean_child(BACKLOGGED_KILL_SCRIPT)
 
     def test_parent_keeps_no_idle_runtime_for_sharded_streams(self):
         with ExplanationService(executor="process", shards=1) as service:

@@ -405,11 +405,13 @@ class TestServiceTelemetry:
             default_config=StreamConfig(window_size=150)
         ) as restored:
             time.sleep(0.3)
+            before_restore = time.perf_counter()
             restored.restore(snapshot)
             report = restored.report()
+            after_report = time.perf_counter()
         # The elapsed clock restarts at restore(): the idle stretch before
         # it must not deflate the restored service's throughput.
-        assert report.elapsed_seconds < 0.25
+        assert report.elapsed_seconds <= after_report - before_restore
 
 
 # ----------------------------------------------------------------------

@@ -180,7 +180,7 @@ class TestLiveResize:
             inline.canonical_dict(), sort_keys=True
         )
         # Migrated cleanly: nothing lost, nothing double-processed.
-        stats = elastic.batcher_stats
+        stats = elastic.executor_stats
         assert stats["resizes"] == 2
         assert stats["migrated_streams"] >= 1
         assert stats["lost_chunks"] == 0
@@ -235,7 +235,7 @@ class TestLiveResize:
             assert not thread.is_alive()
             report = service.report()
         assert errors == []
-        assert report.batcher_stats["lost_chunks"] == 0
+        assert report.executor_stats["lost_chunks"] == 0
         for stream in report.streams:
             assert stream.observations == drifted_values.size
 
@@ -251,7 +251,6 @@ class TestLiveResize:
         executor._migrations[7] = {
             "out_pending": {"shard-0": object()},
             "in_pending": {"shard-0": object()},
-            "states": {},
         }
         executor._stats_collections[8] = {"expected": {"shard-0": object()}, "replies": {}}
         executor._handle_reply(
@@ -347,12 +346,9 @@ class TestLiveResize:
 class TestConcurrentMigrationProperty:
     """Producers racing a resize must never perturb the canonical report."""
 
-    @pytest.mark.parametrize("transport", ["framed", "legacy"])
     @settings(max_examples=2, deadline=None)
     @given(data=st.data())
-    def test_concurrent_producers_mid_resize_parity(
-        self, transport, drifted_values, data
-    ):
+    def test_concurrent_producers_mid_resize_parity(self, drifted_values, data):
         chunk = data.draw(st.integers(min_value=40, max_value=90))
         values = drifted_values[:480]
         rounds = list(range(0, values.size, chunk))
@@ -365,7 +361,6 @@ class TestConcurrentMigrationProperty:
         with ExplanationService(
             executor="process",
             shards=2,
-            transport=transport,
             default_config=StreamConfig(window_size=150),
         ) as service:
             for stream_id in STREAM_IDS:
@@ -400,7 +395,7 @@ class TestConcurrentMigrationProperty:
                 assert not thread.is_alive()
             report = service.report()
         assert errors == []
-        assert report.batcher_stats["lost_chunks"] == 0
+        assert report.executor_stats["lost_chunks"] == 0
         assert report.state_lost == []
         assert json.dumps(report.canonical_dict(), sort_keys=True) == json.dumps(
             baseline.canonical_dict(), sort_keys=True
@@ -479,7 +474,7 @@ class TestFaultVisibility:
                 service.submit(stream_id, drifted_values[:120])
             report = service.report()
         assert {stream.stream_id for stream in report.streams} == set(ids)
-        assert report.batcher_stats["lost_chunks"] == 0
+        assert report.executor_stats["lost_chunks"] == 0
 
     def test_exhausted_shard_is_retired_and_streams_redistributed(self, drifted_values):
         executor = ProcessShardExecutor(shards=2, max_restarts=0)
@@ -497,7 +492,7 @@ class TestFaultVisibility:
             service.submit("a", drifted_values)
             report = service.report()
             assert executor.shard_of("a") == survivor
-        stats = report.batcher_stats
+        stats = report.executor_stats
         assert stats["retired_shards"] == 1
         assert stats["shards"] == 1
         assert "a" in report.state_lost
