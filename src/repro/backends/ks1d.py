@@ -125,7 +125,13 @@ class KS1DBackend(StreamBackend):
 
     # ------------------------------------------------------------------
     def coerce_observations(self, observations) -> np.ndarray:
-        return np.asarray(observations, dtype=float).ravel()
+        """A flat float array.  ``None`` (which coerces to NaN), NaN and
+        inf are rejected: a non-finite value would stay in the detector's
+        window and fail every later test of its stream."""
+        values = np.asarray(observations, dtype=float).ravel()
+        if not np.isfinite(values).all():
+            raise ValidationError("chunk holds a missing or non-finite observation")
+        return values
 
     def run_detection(self, detector, values: np.ndarray) -> list:
         alarms = []

@@ -73,7 +73,8 @@ class KS2DBackend(StreamBackend):
 
     # ------------------------------------------------------------------
     def coerce_observations(self, observations) -> np.ndarray:
-        """``(k, 2)`` point arrays; a flat array of ``2k`` floats is paired up."""
+        """``(k, 2)`` point arrays of finite coordinates; a flat array of
+        ``2k`` floats is paired up."""
         arr = np.asarray(observations, dtype=float)
         if arr.ndim == 1:
             if arr.size % 2:
@@ -83,6 +84,8 @@ class KS2DBackend(StreamBackend):
             arr = arr.reshape(-1, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValidationError("ks2d streams take (k, 2) arrays of points")
+        if not np.isfinite(arr).all():
+            raise ValidationError("chunk holds a missing or non-finite coordinate")
         return arr
 
     # observation_count and run_detection: the base defaults already count

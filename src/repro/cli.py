@@ -255,11 +255,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError("--queue-capacity requires --executor process")
     if args.executor != "process" and args.shards is not None:
         raise ReproError("--shards requires --executor process")
-    if args.migration_buffer is not None:
-        if args.executor != "process":
-            raise ReproError("--migration-buffer requires --executor process")
-        if args.migration_buffer < 1:
-            raise ReproError("--migration-buffer must be at least 1")
     if (args.min_shards is None) != (args.max_shards is None):
         raise ReproError("--min-shards and --max-shards must be given together")
     autoscale = args.min_shards is not None
@@ -328,7 +323,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for name, value in (
             ("queue_capacity", args.queue_capacity),
             ("shards", shards),
-            ("migration_buffer", args.migration_buffer),
             ("cache_ttl", args.cache_ttl),
             ("metrics", metrics_enabled or None),
             ("tracing", True if tracing_on else None),
@@ -635,10 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--shards", type=int, default=None,
                               help="worker processes for --executor process "
                                    "(default 2)")
-    serve_parser.add_argument("--migration-buffer", type=int, default=None,
-                              help="chunks parked per resize for streams "
-                                   "mid-migration before producers block "
-                                   "(--executor process; default 64)")
     serve_parser.add_argument("--min-shards", type=int, default=None,
                               help="enable queue-depth autoscaling: lower "
                                    "bound of the elastic shard pool "

@@ -18,7 +18,9 @@ implement it:
 Supporting modules: :mod:`~repro.cluster.wire` (picklable protocol
 messages), :mod:`~repro.cluster.runtime` (the shared detection/explanation
 path, also used in-process by the engine), :mod:`~repro.cluster.worker`
-(the shard process main loop).
+(the shard process main loop), :mod:`~repro.cluster.inflight` (the
+process executor's ledger of chunks in flight, which resolves each one
+exactly once).
 """
 
 from repro.cluster.autoscale import (

@@ -20,17 +20,25 @@ flusher), on ``drain()``, and ahead of every control command, so the
 command queue's FIFO order holds for control commands too.  The worker
 answers each frame with one :class:`~repro.cluster.wire.ReplyFrame`.
 
+Every chunk from admission to resolution is one record of an
+:class:`~repro.cluster.inflight.InFlightLedger`, which this executor calls
+under its condition lock and which resolves each seq exactly once —
+served, failed by its worker, or lost.  A reply, bounce or failure that
+arrives for a seq already resolved is dropped.
+
 Fault handling is shard-level: a worker process that dies — crash, OOM
 kill, the :class:`~repro.cluster.wire.CrashShard` test hook — is detected
 on the next ingest or drain, respawned with a fresh command queue, and its
 streams are re-registered from the service registry's snapshot (detector
 state restarts empty; the affected stream ids are recorded in
-``state_lost_streams`` so the data loss is visible in the service report,
-and chunks that were in flight are counted as lost, not silently re-run,
-so no alarm is ever double-reported).  A shard that keeps dying past
-``max_restarts`` is *retired*: it is removed from the ring and its streams
-are redistributed to the surviving shards through the same migration path
-a :meth:`ProcessShardExecutor.resize` uses (fresh state — the crashes
+``state_lost_streams`` so the data loss is visible in the service report).
+Its in-flight chunks are written off as lost, not silently re-run, so no
+alarm is ever double-reported: a reply the dead worker had already sent
+counts only if the collector claimed it before the write-off, and is
+dropped otherwise.  A shard that keeps dying past ``max_restarts`` is
+*retired*: it is removed from the ring and its streams are redistributed
+to the surviving shards through the same migration path a
+:meth:`ProcessShardExecutor.resize` uses (fresh state — the crashes
 destroyed it — and recorded as lost).  Only when no survivor exists does
 the failure surface as a :class:`~repro.exceptions.ServiceBackendError`.
 
@@ -46,8 +54,8 @@ to the parent (:class:`~repro.cluster.wire.ChunkBounce`), and streams one
 parent installs each stream on its new owner (``MigrateIn``) the moment
 its state arrives and its in-flight chunks have resolved — so a stream is
 frozen only for its own extract→install hop, not for the whole epoch or
-the backlog's drain.  Chunks submitted to a migrating stream park in a
-bounded parent-side buffer (``migration_buffer``); bounced and parked
+the backlog's drain.  Chunks submitted to a migrating stream park in the
+parent (at most :data:`MIGRATION_BUFFER` of them); bounced and parked
 chunks replay on the new owner in seq order strictly behind the install,
 so a replay that spans a resize produces the exact alarms and
 explanations of a fixed-shard run.  The ``MigrateIn`` acknowledgements
@@ -69,6 +77,7 @@ from typing import Optional
 import numpy as np
 
 from repro.cluster.base import Executor
+from repro.cluster.inflight import InFlightLedger
 from repro.cluster.partition import HashRing
 from repro.cluster.wire import (
     CaptureState,
@@ -114,10 +123,14 @@ FRAME_CHUNKS = 32
 #: held hostage by a frame that will not fill.
 FRAME_LINGER_SECONDS = 0.002
 
-#: Sentinel "owner" of an in-flight chunk parked for a migrating stream.
-#: Never collides with a real shard id (those are ``shard-N``), so a dead
-#: shard's abandonment sweep can never write off a parked chunk.
-_PARKED = "<parked>"
+#: How many chunks submitted to migrating streams may park in the parent
+#: while their detector state travels during a resize.  Parked chunks replay
+#: FIFO behind the stream's install on its new owner; once this many (or the
+#: executor's ``capacity``) are in, producers block as for backpressure.
+MIGRATION_BUFFER = 64
+
+#: Virtual nodes per shard on the consistent-hash ring.
+RING_REPLICAS = 64
 
 
 @dataclass
@@ -152,21 +165,11 @@ class ProcessShardExecutor(Executor):
         :class:`~repro.service.cache.SharedCaches`.
     max_restarts:
         Restart budget per shard before it is marked failed.
-    ring_replicas:
-        Virtual nodes per shard on the consistent-hash ring.
     capacity:
         Backpressure bound on in-flight (un-acknowledged) chunks across all
-        shards; ``ingest`` blocks once it is reached, so a producer that
-        outruns the shards slows down instead of growing the command queues
-        without limit.
-    migration_buffer:
-        How many chunks submitted to *migrating* streams may park in the
-        parent while their stream's detector state is in flight during a
-        :meth:`resize`.  Parked chunks replay FIFO behind the stream's
-        install on its new owner, so a producer hitting a mid-migration
-        stream keeps going instead of blocking for the quiesce; once the
-        buffer (or the global ``capacity``) is full, producers block as
-        they would for backpressure.
+        shards, parked ones included; ``ingest`` blocks once it is reached,
+        so a producer that outruns the shards slows down instead of growing
+        the command queues without limit.
     """
 
     name = "process"
@@ -178,35 +181,26 @@ class ProcessShardExecutor(Executor):
         mp_context: Optional[str] = None,
         cache_config: Optional[dict] = None,
         max_restarts: int = 3,
-        ring_replicas: int = 64,
         capacity: int = 128,
-        migration_buffer: int = 64,
     ) -> None:
         super().__init__()
         if shards < 1:
             raise ValidationError("shards must be at least 1")
         if capacity < 1:
             raise ValidationError("capacity must be at least 1")
-        if migration_buffer < 1:
-            raise ValidationError("migration_buffer must be at least 1")
         self.shard_count = int(shards)
         self.capacity = int(capacity)
         self.max_restarts = int(max_restarts)
         self._cache_config = dict(cache_config or {})
         self._ctx = multiprocessing.get_context(mp_context or "spawn")
         shard_ids = [f"shard-{index}" for index in range(self.shard_count)]
-        self._ring = HashRing(shard_ids, replicas=ring_replicas)
+        self._ring = HashRing(shard_ids, replicas=RING_REPLICAS)
         self._shards = {shard_id: _Shard(shard_id) for shard_id in shard_ids}
+        # Guards the ledger and the rendezvous records below.
         self._cv = threading.Condition()
-        self._outstanding: dict[int, str] = {}  # seq -> shard id
-        self._seq_streams: dict[int, str] = {}  # seq -> stream id (in flight)
-        self._completions: dict[int, object] = {}  # seq -> completion callable
-        self._chunk_traces: dict[int, tuple] = {}  # seq -> (ChunkTrace, wire span)
+        self._ledger = InFlightLedger(self.capacity, MIGRATION_BUFFER)
         self._deferred = DeferredErrors()
-        self._seq = 0
-        self._ingests = 0
         self._restarts = 0
-        self._lost_chunks = 0
         self._closed = False
         self._lifecycle = threading.RLock()
         self._bound = False
@@ -214,21 +208,11 @@ class ProcessShardExecutor(Executor):
         self._reply_readers: list = []
         self._collector: Optional[threading.Thread] = None
         self._collector_stop = threading.Event()
-        # Elastic rebalancing / fault bookkeeping.  ``_migrating`` holds the
-        # stream ids whose ingest is briefly blocked while their detector
-        # state travels; ``_migrations`` and ``_stats_collections`` are the
-        # per-epoch rendezvous records the collector thread fills in.
+        # Elastic rebalancing / fault bookkeeping.  ``_migrations`` and
+        # ``_stats_collections`` are the per-epoch rendezvous records the
+        # collector thread fills in.
         self._resize_lock = threading.Lock()
-        self._migrating: set[str] = set()
         self._migrations: dict[int, dict] = {}
-        # Chunks parked for migrating streams: stream id -> FIFO list of
-        # ``(seq, values, trace context)``.  Their seqs sit in
-        # ``_outstanding`` under the ``_PARKED`` sentinel, so capacity,
-        # drain() and close() all account for them like any in-flight chunk.
-        self.migration_buffer = int(migration_buffer)
-        self._parked: dict[str, list] = {}
-        self._parked_total = 0
-        self._bounced = 0  # chunks swept back by sources mid-migration
         # Shards whose worker has sent WorkerReady for its *current*
         # process generation; cleared on (re)spawn, so wait_ready() is a
         # deterministic warm-fleet barrier.
@@ -250,8 +234,6 @@ class ProcessShardExecutor(Executor):
         self._m_wire = None  # parent-side wire_roundtrip histogram
         self._tracer = None  # parent-side Tracer (hooks.tracer), or None
         self._recorder = None  # parent-side FlightRecorder, or None
-        self._ingest_started: dict[int, float] = {}  # seq -> enqueue stamp
-        self._shard_ingests: dict[str, int] = {}  # shard id -> chunks routed
         self._worker_metrics: dict[str, dict] = {}
         # Frames: the background flusher that ships lingering partial
         # frames, and the wire counters ``stats()`` reports.
@@ -319,9 +301,9 @@ class ProcessShardExecutor(Executor):
                 shard.shard_id,
                 shard.commands,
                 writer,
+                shard.control,
                 self._cache_config,
                 self._metrics_on,
-                shard.control,
             ),
             daemon=True,
         )
@@ -483,29 +465,15 @@ class ProcessShardExecutor(Executor):
         with self._lifecycle:
             # Every worker is gone: release the command lanes (drain=False
             # simply discards whatever frames were still buffered — their
-            # completions resolve as lost below, like any in-flight chunk).
+            # chunks resolve as lost below, like any in-flight chunk).
             for shard in self._shards.values():
                 shard.pending.clear()
                 self._close_lanes(shard)
-        with self._cv:
-            # Parked chunks are in ``_outstanding`` too (owner _PARKED), so
-            # the loss accounting below covers them; their buffers just die.
-            self._parked.clear()
-            self._parked_total = 0
-            self._migrating.clear()
-            self._migrations.clear()
-            self._lost_chunks += len(self._outstanding)
-            self._outstanding.clear()
-            self._seq_streams.clear()
-            abandoned = list(self._completions.values())
-            self._completions.clear()
-            orphan_traces = list(self._chunk_traces.values())
-            self._chunk_traces.clear()
-        for entry in orphan_traces:
-            self._finish_trace(entry, "lost", error="executor closed")
-        for completion in abandoned:
-            # Chunks the shutdown discarded still resolve their futures.
-            self._safe_complete(completion, None, True)
+            with self._cv:
+                abandoned = self._ledger.close()
+                self._migrations.clear()
+        # Chunks the shutdown discarded still resolve their futures.
+        self._settle_lost(abandoned, "executor closed")
         if pending_error is not None:
             raise pending_error
         self._raise_deferred()
@@ -575,122 +543,65 @@ class ProcessShardExecutor(Executor):
     # ------------------------------------------------------------------
     def ingest(self, state, values: np.ndarray, completion=None, trace=None) -> None:
         # The lifecycle lock keeps the whole enqueue atomic with respect to
-        # crash handling: without it, a concurrent respawn could abandon
-        # this seq as lost (and swap the command queue) between the
-        # bookkeeping and the put, leaving the chunk both processed and
-        # counted as lost.  When the in-flight bound is hit we wait
-        # *outside* the lifecycle lock, so crash handling (which frees
-        # capacity by abandoning a dead shard's chunks) can still run.
-        # A stream whose detector state is mid-migration does not block
-        # the producer: its chunk parks in the bounded migration buffer
-        # and replays FIFO behind the stream's install on the new owner.
-        # Only a full buffer (or full capacity) makes the producer wait.
+        # crash handling: without it, a concurrent respawn could write this
+        # seq off as lost (and swap the command queue) between the ledger
+        # entry and the put, leaving the chunk both processed and counted
+        # as lost.  When the in-flight bound is hit we wait *outside* the
+        # lifecycle lock, so crash handling (which frees capacity by
+        # writing off a dead shard's chunks) can still run.  A chunk of a
+        # stream mid-migration parks in the ledger and replays FIFO behind
+        # the stream's install on its new owner; only a full migration
+        # buffer (or full capacity) makes the producer wait.
+        stream_id = state.stream_id
         while True:
             with self._lifecycle:
-                if state.stream_id in self._migrating:
-                    if self._closed:
-                        raise ValidationError("cannot submit to a closed executor")
-                    if self._park_chunk(state.stream_id, values, completion, trace):
-                        return
-                else:
-                    shard = self._shard_for_stream(state.stream_id)
-                    with self._cv:
-                        if len(self._outstanding) < self.capacity:
-                            self._seq += 1
-                            seq = self._seq
-                            self._outstanding[seq] = shard.shard_id
-                            self._seq_streams[seq] = state.stream_id
-                            if completion is not None:
-                                # Registered atomically with the in-flight
-                                # record, before the chunk can possibly be
-                                # acknowledged, so the reply path can never
-                                # race past an unregistered completion.
-                                self._completions[seq] = completion
-                            self._ingests += 1
-                            self._shard_ingests[shard.shard_id] = (
-                                self._shard_ingests.get(shard.shard_id, 0) + 1
-                            )
-                            stamp = (
-                                time.monotonic()
-                                if self._metrics_on or trace is not None
-                                else None
-                            )
-                            if stamp is not None and self._metrics_on:
-                                self._ingest_started[seq] = stamp
-                            context = None
-                            if trace is not None:
-                                # The wire span stays open until the reply
-                                # (or a loss) resolves this seq; the worker's
-                                # span dicts re-parent under it.
-                                wire_span = trace.start_span(
-                                    "wire_roundtrip", shard=shard.shard_id
-                                )
-                                self._chunk_traces[seq] = (trace, wire_span)
-                                context = trace.wire_context(wire_span)
-                            chunk = IngestChunk(
-                                seq=seq,
-                                stream_id=state.stream_id,
-                                values=values,
-                                enqueued_at=stamp,
-                                trace=context,
-                            )
-                            # The seq is already in flight (capacity,
-                            # completion, trace all recorded above), so a
-                            # buffered chunk is indistinguishable from an
-                            # enqueued one to every other subsystem.
-                            self._buffer(shard, chunk)
-                            return
+                if self._closed:
+                    raise ValidationError("cannot submit to a closed executor")
+                # The migrating set only changes under the lifecycle lock.
+                parks = self._ledger.is_migrating(stream_id)
+                shard = None if parks else self._shard_for_stream(stream_id)
+                record = None
+                with self._cv:
+                    if self._ledger.has_room(stream_id):
+                        # The wire span stays open until the reply (or a
+                        # loss) resolves this seq — across a park too, as
+                        # the producer really waits that long — and names
+                        # the ring owner, a parked chunk's destination.
+                        owner = self._ring.shard_for(stream_id) if parks else shard.shard_id
+                        entry = None
+                        if trace is not None:
+                            entry = (trace, trace.start_span("wire_roundtrip", shard=owner))
+                        stamp = (
+                            time.monotonic()
+                            if self._metrics_on or trace is not None
+                            else None
+                        )
+                        record = self._ledger.admit(
+                            stream_id, owner, values, completion, entry, stamp
+                        )
+                if record is not None:
+                    if not parks:
+                        self._buffer(shard, self._wire_chunk(record, values))
+                    return
             # A dead shard (not necessarily this stream's) may be pinning
             # the capacity with chunks it will never acknowledge; reap all
-            # shards so abandonment can free the slots, and fail fast on a
-            # recorded backend failure, before re-waiting.
+            # shards so their write-off can free the slots, and fail fast
+            # on a recorded backend failure, before re-waiting.
             self._reap_dead_shards()
             self._raise_deferred()
             with self._cv:
-                if (
-                    len(self._outstanding) >= self.capacity
-                    or state.stream_id in self._migrating
-                ):
+                if not self._ledger.has_room(stream_id):
                     self._cv.wait(0.05)
 
-    def _park_chunk(self, stream_id: str, values, completion, trace) -> bool:
-        """Park one chunk for a migrating stream (caller holds the lifecycle
-        lock).
-
-        The chunk gets its seq, completion and trace bookkeeping *now* —
-        atomically with the in-flight record, exactly like a routed chunk —
-        but its owner is the ``_PARKED`` sentinel until the stream's
-        install replays it to the new shard.  Returns ``False`` when the
-        migration buffer (or the global capacity) is full; the producer
-        then waits as it would for ordinary backpressure.
-        """
-        with self._cv:
-            if (
-                len(self._outstanding) >= self.capacity
-                or self._parked_total >= self.migration_buffer
-            ):
-                return False
-            self._seq += 1
-            seq = self._seq
-            self._outstanding[seq] = _PARKED
-            self._seq_streams[seq] = stream_id
-            if completion is not None:
-                self._completions[seq] = completion
-            self._ingests += 1
-            context = None
-            if trace is not None:
-                # The ring already points at the new owner while the stream
-                # migrates, so the wire span can name its destination; the
-                # span stays open across the park — the producer really does
-                # wait that long for its alarms.
-                wire_span = trace.start_span(
-                    "wire_roundtrip", shard=self._ring.shard_for(stream_id)
-                )
-                self._chunk_traces[seq] = (trace, wire_span)
-                context = trace.wire_context(wire_span)
-            self._parked.setdefault(stream_id, []).append((seq, values, context))
-            self._parked_total += 1
-        return True
+    @staticmethod
+    def _wire_chunk(record, values) -> IngestChunk:
+        """The ingest message for a routed chunk; its trace context makes
+        the worker's spans children of the chunk's open wire span."""
+        context = None
+        if record.trace is not None:
+            trace, wire_span = record.trace
+            context = trace.wire_context(wire_span)
+        return IngestChunk(record.seq, record.stream_id, values, record.started, context)
 
     def _shard_for_stream(self, stream_id: str) -> _Shard:
         """The live shard owning a stream, respawning it first if it died."""
@@ -727,8 +638,8 @@ class ProcessShardExecutor(Executor):
             if shard.process is not None and shard.process.is_alive():
                 return
             if shard.process is not None:
-                # The shard died: reap it, abandon its in-flight chunks and
-                # charge its restart budget before respawning.
+                # The shard died: reap it, write off its in-flight chunks
+                # and charge its restart budget before respawning.
                 shard.process.join(timeout=1)
                 if self._recorder is not None:
                     self._recorder.record(
@@ -740,7 +651,11 @@ class ProcessShardExecutor(Executor):
                     # The recorder's whole purpose: persist the last events
                     # leading up to this crash while they are still buffered.
                     self._recorder.dump(f"crash-{shard.shard_id}")
-                self._abandon_outstanding(shard.shard_id)
+                # The dead generation's unsent frame dies with it: a
+                # respawn replays registrations, and flushing stale chunks
+                # at it would double-serve observations written off here.
+                shard.pending.clear()
+                self._write_off(shard.shard_id)
                 shard.restarts += 1
                 with self._cv:
                     self._restarts += 1
@@ -769,61 +684,31 @@ class ProcessShardExecutor(Executor):
         for shard in list(self._shards.values()):
             self._ensure_alive(shard)
 
-    def _abandon_outstanding(self, shard_id: str) -> None:
-        """Drop the in-flight chunks of a dead shard so drain() can finish."""
-        # A buffered (not yet flushed) frame must die with the process
-        # generation: a respawn replays registrations, and flushing stale
-        # chunks at it would double-serve observations the accounting
-        # already wrote off as lost.
-        shard = self._shards.get(shard_id)
-        if shard is not None:
-            shard.pending.clear()
-            shard.pending_since = None
+    def _write_off(self, shard_id: str) -> None:
+        """Resolve a dead shard's in-flight chunks as lost."""
         with self._cv:
-            lost = [seq for seq, owner in self._outstanding.items() if owner == shard_id]
-            for seq in lost:
-                del self._outstanding[seq]
-                self._ingest_started.pop(seq, None)
-                stream_id = self._seq_streams.pop(seq, None)
-                if stream_id is not None and self._migrations:
-                    # A chunk dying with its source can no longer gate its
-                    # stream's install (the stream falls back fresh anyway).
-                    self._discard_await_locked(stream_id, seq)
-            self._lost_chunks += len(lost)
-            completions = [
-                self._completions.pop(seq) for seq in lost if seq in self._completions
-            ]
-            traces = [
-                self._chunk_traces.pop(seq)
-                for seq in lost
-                if seq in self._chunk_traces
-            ]
-            if lost:
-                self._cv.notify_all()
+            lost = self._ledger.write_off(shard_id)
+            self._cv.notify_all()
         if lost and self._recorder is not None:
             self._recorder.record(shard_id, "chunks_lost", count=len(lost))
-        # Invoked outside the condition lock: the engine's completion
-        # wrapper resolves futures/callbacks and must not nest under _cv.
-        for entry in traces:
-            self._finish_trace(entry, "lost", error=f"shard {shard_id} died")
-        for completion in completions:
-            self._safe_complete(completion, None, True)
+        self._settle_lost(lost, f"shard {shard_id} died")
 
-    def _pop_completion(self, seq: int):
-        with self._cv:
-            return self._completions.pop(seq, None)
+    def _settle_lost(self, records, error: str) -> None:
+        """Finish the traces and call the completions of lost chunks.
 
-    def _pop_trace(self, seq: int):
-        with self._cv:
-            return self._chunk_traces.pop(seq, None)
+        Called outside the condition lock: the engine's completion wrapper
+        resolves futures/callbacks and must not nest under ``_cv``.
+        """
+        for record in records:
+            self._finish_trace(record.trace, "lost", error=error)
+            self._safe_complete(record.completion, None, True)
 
     def _finish_trace(self, entry, status: str = "ok", error=None, spans=None) -> None:
         """Resolve one chunk's trace: close the wire span, graft worker spans.
 
         ``entry`` is the ``(ChunkTrace, wire span)`` pair stored at enqueue
-        (``None`` is a no-op, so callers can pass the pop result straight
-        through).  Lost chunks close with a non-``ok`` status instead of
-        leaking an open span.
+        (``None``, an untraced chunk, is a no-op).  Lost chunks close with
+        a non-``ok`` status instead of leaking an open span.
         """
         if entry is None or self._tracer is None:
             return
@@ -966,8 +851,10 @@ class ProcessShardExecutor(Executor):
                 "moved": {},  # stream id -> config snapshot
                 "source": {},  # stream id -> source shard id
                 "arrived": {},  # stream id -> payload (None = fresh fallback)
-                "await": {},  # stream id -> seqs still in flight on its source
                 "installed": set(),  # stream ids installed + released
+                # Set on timeout or close: a stream still held by its source
+                # may install anyway (a later bounce then resolves as lost).
+                "expired": False,
                 "started": {},  # stream id -> monotonic quiesce stamp
                 "done": False,  # pipeline finished; record is prunable
             }
@@ -999,7 +886,7 @@ class ProcessShardExecutor(Executor):
             now = time.monotonic()
             with self._cv:
                 self.shard_count = len(self._shards)
-                self._migrating.update(moved)
+                self._ledger.begin_migration(moved)
                 self._migrated_streams += len(moved)
                 record["moved"] = dict(moved)
                 record["started"] = {sid: now for sid in moved}
@@ -1027,31 +914,11 @@ class ProcessShardExecutor(Executor):
                     record["out_pending"][source_id] = source.process
                     for sid in stream_ids:
                         record["source"][sid] = source_id
-                    self._snapshot_await_locked(record, source_id, stream_ids)
                 self._post_priority(
                     source,
                     MigrateOut(epoch=epoch, stream_ids=tuple(sorted(stream_ids))),
                 )
         self._pipeline_epoch(epoch, timeout)
-
-    def _snapshot_await_locked(self, record, source_id, stream_ids) -> None:
-        """Record which in-flight seqs each migrating stream must resolve
-        before its install (caller holds ``_cv``).
-
-        The priority-lane MigrateOut overtakes the source's queued ingest,
-        so chunks enqueued before the migration may still be on the source
-        when its state ships.  Each must either be served there (it
-        preceded the sweep) or bounce back — only then may the stream
-        install on its new owner, or the replay would reorder the chunks
-        the producer submitted first.
-        """
-        awaiting = {sid: set() for sid in stream_ids}
-        for seq, owner in self._outstanding.items():
-            if owner == source_id:
-                sid = self._seq_streams.get(seq)
-                if sid in awaiting:
-                    awaiting[sid].add(seq)
-        record["await"].update(awaiting)
 
     def _shrink(self, target: int, timeout: Optional[float]) -> None:
         with self._lifecycle:
@@ -1071,7 +938,7 @@ class ProcessShardExecutor(Executor):
             now = time.monotonic()
             with self._cv:
                 self.shard_count = len(self._shards)
-                self._migrating.update(moved)
+                self._ledger.begin_migration(moved)
                 self._migrated_streams += len(moved)
                 record["moved"] = dict(moved)
                 record["started"] = {sid: now for sid in moved}
@@ -1086,7 +953,7 @@ class ProcessShardExecutor(Executor):
                     # no longer in ``_shards``, so its buffered frame must
                     # be dropped here too).
                     victim.pending.clear()
-                    self._abandon_outstanding(victim.shard_id)
+                    self._write_off(victim.shard_id)
                     with self._cv:
                         for sid in stream_ids:
                             record["arrived"].setdefault(sid, None)
@@ -1095,7 +962,6 @@ class ProcessShardExecutor(Executor):
                     record["out_pending"][victim.shard_id] = victim.process
                     for sid in stream_ids:
                         record["source"][sid] = victim.shard_id
-                    self._snapshot_await_locked(record, victim.shard_id, stream_ids)
                 self._post_priority(
                     victim, MigrateOut(epoch=epoch, stream_ids=stream_ids)
                 )
@@ -1150,19 +1016,8 @@ class ProcessShardExecutor(Executor):
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._cv:
-                record = self._migrations[epoch]
-                # A stream is installable once its state has arrived *and*
-                # every chunk that was in flight on its source when the
-                # MigrateOut overtook them has resolved (served there, or
-                # bounced back into the parked list) — installing earlier
-                # would replay later chunks ahead of earlier ones.
-                ready = [
-                    sid
-                    for sid in record["arrived"]
-                    if sid not in record["installed"]
-                    and not record["await"].get(sid)
-                ]
-            for stream_id in sorted(ready):
+                ready = self._installable_locked(epoch)
+            for stream_id in ready:
                 self._release_stream(epoch, stream_id)
             with self._cv:
                 record = self._migrations[epoch]
@@ -1176,7 +1031,7 @@ class ProcessShardExecutor(Executor):
             # respawned, or a reported WorkerFailure) can no longer deliver
             # their remaining streams: fall those back to fresh
             # registrations now instead of waiting out the deadline.
-            dead_sources: list[str] = []
+            dead_victims: list[str] = []
             with self._lifecycle:
                 with self._cv:
                     record = self._migrations[epoch]
@@ -1185,15 +1040,16 @@ class ProcessShardExecutor(Executor):
                         if shard is None:
                             # A shrink victim: a clean exit means its
                             # replies are already buffered in the pipe, so
-                            # only a hard death writes its streams off.
+                            # only a hard death writes its streams off —
+                            # and its chunks, since no one else reaps it.
                             if not process.is_alive() and process.exitcode != 0:
                                 record["out_pending"].pop(shard_id)
-                                dead_sources.append(shard_id)
+                                dead_victims.append(shard_id)
                         elif shard.process is not process:
                             # Crashed and respawned: the command queue (and
-                            # the state) died with the old process.
+                            # the state) died with the old process, whose
+                            # chunks the reap already wrote off.
                             record["out_pending"].pop(shard_id)
-                            dead_sources.append(shard_id)
                     live_sources = set(record["out_pending"])
                     for sid, source_id in record["source"].items():
                         if (
@@ -1201,15 +1057,12 @@ class ProcessShardExecutor(Executor):
                             and source_id not in live_sources
                         ):
                             record["arrived"][sid] = None
-            for shard_id in dead_sources:
-                self._abandon_outstanding(shard_id)
+            for shard_id in dead_victims:
+                self._write_off(shard_id)
             with self._cv:
-                record = self._migrations[epoch]
-                if any(
-                    sid not in record["installed"] and not record["await"].get(sid)
-                    for sid in record["arrived"]
-                ):
+                if self._installable_locked(epoch):
                     continue  # installs became ready while we were reaping
+                record = self._migrations[epoch]
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if self._closed or (remaining is not None and remaining <= 0):
                     # Timed out — or close() raced us and the replies will
@@ -1218,11 +1071,33 @@ class ProcessShardExecutor(Executor):
                     # stream's install; if it bounces later it resolves as
                     # lost rather than replaying out of order).
                     record["out_pending"].clear()
-                    record["await"].clear()
+                    record["expired"] = True
                     for sid in record["moved"]:
                         record["arrived"].setdefault(sid, None)
                     continue
                 self._cv.wait(0.05 if remaining is None else min(0.05, remaining))
+
+    def _installable_locked(self, epoch: int) -> list[str]:
+        """Streams of an epoch ready to install, in order (caller holds ``_cv``).
+
+        A stream is installable once its state has arrived *and* its source
+        holds none of its chunks: the priority-lane MigrateOut overtakes the
+        source's queued ingest, so each chunk enqueued before the migration
+        must be served there or bounce back into the parked set first —
+        installing earlier would replay later chunks ahead of earlier ones.
+        New chunks of a migrating stream park instead of routing, so the
+        source's share only shrinks.
+        """
+        record = self._migrations[epoch]
+        return sorted(
+            sid
+            for sid in record["arrived"]
+            if sid not in record["installed"]
+            and (
+                record["expired"]
+                or not self._ledger.holds(sid, record["source"].get(sid))
+            )
+        )
 
     def _release_stream(self, epoch: int, stream_id: str) -> None:
         """Install one stream on its new owner and release it immediately.
@@ -1264,17 +1139,25 @@ class ProcessShardExecutor(Executor):
                 fresh = True
                 with self._cv:
                     self._state_lost.add(stream_id)
+            stamp = (
+                time.monotonic()
+                if self._metrics_on or self._tracer is not None
+                else None
+            )
             with self._cv:
-                parked = self._parked.pop(stream_id, None) or []
-                self._parked_total -= len(parked)
-                self._migrating.discard(stream_id)
+                released = self._ledger.release_stream(
+                    stream_id, dest.shard_id if dest is not None else None, stamp
+                )
                 self._cv.notify_all()
-            # Seq order is submission order: bounced chunks (enqueued to
-            # the source before the migration began) all precede the
-            # producer-parked ones, but they joined the list later.
-            parked.sort(key=lambda entry: entry[0])
-            for seq, values, context in parked:
-                self._replay_parked(dest, stream_id, seq, values, context)
+            if dest is None:
+                # Exactly like an in-flight chunk on a dead shard.
+                self._settle_lost(
+                    [record for record, _ in released],
+                    "migration destination unavailable",
+                )
+            else:
+                for record, values in released:
+                    self._buffer(dest, self._wire_chunk(record, values))
         quiesced = (
             max(0.0, time.monotonic() - started) if started is not None else None
         )
@@ -1287,49 +1170,11 @@ class ProcessShardExecutor(Executor):
                 stream=stream_id,
                 epoch=epoch,
                 state="fresh" if fresh else "moved",
-                parked=len(parked),
+                parked=len(released),
                 quiesce_ms=(
                     round(quiesced * 1000, 3) if quiesced is not None else None
                 ),
             )
-
-    def _replay_parked(self, dest, stream_id: str, seq: int, values, context) -> None:
-        """Re-enqueue one parked chunk strictly behind its stream's install
-        (caller holds the lifecycle lock).
-
-        With no live destination the chunk resolves as lost, exactly like
-        an in-flight chunk on a dead shard.
-        """
-        if dest is None:
-            with self._cv:
-                known = self._outstanding.pop(seq, None) is not None
-                if known:
-                    self._lost_chunks += 1
-                self._seq_streams.pop(seq, None)
-                completion = self._completions.pop(seq, None)
-                entry = self._chunk_traces.pop(seq, None)
-                self._cv.notify_all()
-            self._finish_trace(entry, "lost", error="migration destination unavailable")
-            self._safe_complete(completion, None, True)
-            return
-        stamp = time.monotonic() if self._metrics_on or context is not None else None
-        chunk = IngestChunk(
-            seq=seq,
-            stream_id=stream_id,
-            values=values,
-            enqueued_at=stamp,
-            trace=context,
-        )
-        with self._cv:
-            if seq not in self._outstanding:
-                return  # close() raced us and already resolved it as lost
-            self._outstanding[seq] = dest.shard_id
-            self._shard_ingests[dest.shard_id] = (
-                self._shard_ingests.get(dest.shard_id, 0) + 1
-            )
-            if stamp is not None and self._metrics_on:
-                self._ingest_started[seq] = stamp
-        self._buffer(dest, chunk)
 
     def _prune_epoch_locked(self, epoch: int) -> None:
         """Drop a finished epoch record once nothing references it (caller
@@ -1579,21 +1424,42 @@ class ProcessShardExecutor(Executor):
                 self._handle_reply(entry)
             return
         if isinstance(reply, IngestReply):
-            # The completion is popped first (exactly-once even if recording
-            # throws) and invoked last, after the reply has been folded into
-            # the service report — an awaiting producer observes its own
-            # chunk's alarms.
-            completion = self._pop_completion(reply.seq)
+            # The claim keeps the seq in flight while the reply is folded
+            # (so drain() cannot return mid-fold and a write-off skips it);
+            # a seq already resolved — written off when its shard died —
+            # stays lost and its reply is dropped.  The completion runs
+            # last, so an awaiting producer observes its own chunk's alarms.
+            with self._cv:
+                record = self._ledger.claim(reply.seq)
+            if record is None:
+                return
             try:
                 self.hooks.record_reply(reply)
             except Exception as exc:
                 self._defer(exc)
             finally:
-                self._finish_trace(self._pop_trace(reply.seq), spans=reply.spans)
-                self._ack(reply.seq, served=True)
-                self._safe_complete(completion, reply, False)
+                self._finish_trace(record.trace, spans=reply.spans)
+                with self._cv:
+                    served = self._ledger.serve(reply.seq) is not None
+                    self._cv.notify_all()
+                if served:
+                    if record.started is not None and self._m_wire is not None:
+                        # Enqueue-to-acknowledgement: queue residency +
+                        # detection + explanation + the reply's trip back,
+                        # i.e. what a producer actually waits for here.
+                        self._m_wire.observe(
+                            max(0.0, time.monotonic() - record.started)
+                        )
+                    self._safe_complete(record.completion, reply, False)
         elif isinstance(reply, ChunkBounce):
-            self._handle_bounce(reply)
+            # A source swept the chunk back mid-migration: it re-parks and
+            # replays behind its stream's install, or — its migration
+            # already resolved — could only replay out of order and is lost.
+            with self._cv:
+                lost = self._ledger.bounce(reply.seq, reply.values)
+                self._cv.notify_all()
+            if lost is not None:
+                self._settle_lost([lost], "bounced chunk outlived its migration")
         elif isinstance(reply, WorkerReady):
             with self._cv:
                 self._ready.add(reply.shard_id)
@@ -1654,11 +1520,12 @@ class ProcessShardExecutor(Executor):
                 )
             if reply.seq is not None:
                 # The failure consumed the chunk without serving it.
-                self._finish_trace(
-                    self._pop_trace(reply.seq), "error", error=reply.message
-                )
-                self._ack(reply.seq)
-                self._safe_complete(self._pop_completion(reply.seq), None, True)
+                with self._cv:
+                    failed = self._ledger.fail(reply.seq)
+                    self._cv.notify_all()
+                if failed is not None:
+                    self._finish_trace(failed.trace, "error", error=reply.message)
+                    self._safe_complete(failed.completion, None, True)
             if reply.command in (
                 "MigrateOut",
                 "MigrateIn",
@@ -1680,84 +1547,6 @@ class ProcessShardExecutor(Executor):
                         collection["expected"].pop(reply.shard_id, None)
                     self._cv.notify_all()
 
-    def _handle_bounce(self, reply: ChunkBounce) -> None:
-        """Re-park one chunk a source swept back during its MigrateOut.
-
-        Runs on the collector thread (no lifecycle lock, by the collector's
-        deadlock discipline).  The chunk rejoins its stream's parked list —
-        release replays the list in seq order, and bounced seqs all precede
-        the producer-parked ones — and its seq leaves the migration's await
-        set, which is exactly what gates the stream's install.  A bounce
-        for a stream whose migration already resolved (deadline fallback)
-        cannot replay in order any more and resolves as lost; one for a seq
-        already written off (source died, close()) is just dropped.
-        """
-        lost_completion = None
-        lost_entry = None
-        with self._cv:
-            owner = self._outstanding.get(reply.seq)
-            if owner is None:
-                self._seq_streams.pop(reply.seq, None)
-            elif reply.stream_id in self._migrating:
-                self._outstanding[reply.seq] = _PARKED
-                if owner != _PARKED:
-                    # No longer the source's chunk; it counts against the
-                    # destination when it replays.
-                    count = self._shard_ingests.get(owner)
-                    if count:
-                        self._shard_ingests[owner] = count - 1
-                self._ingest_started.pop(reply.seq, None)
-                entry = self._chunk_traces.get(reply.seq)
-                context = (
-                    entry[0].wire_context(entry[1]) if entry is not None else None
-                )
-                self._parked.setdefault(reply.stream_id, []).append(
-                    (reply.seq, reply.values, context)
-                )
-                self._parked_total += 1
-                self._bounced += 1
-                self._discard_await_locked(reply.stream_id, reply.seq)
-                self._cv.notify_all()
-            else:
-                del self._outstanding[reply.seq]
-                self._lost_chunks += 1
-                self._ingest_started.pop(reply.seq, None)
-                self._seq_streams.pop(reply.seq, None)
-                lost_completion = self._completions.pop(reply.seq, None)
-                lost_entry = self._chunk_traces.pop(reply.seq, None)
-                self._cv.notify_all()
-        if lost_entry is not None or lost_completion is not None:
-            self._finish_trace(
-                lost_entry, "lost", error="bounced chunk outlived its migration"
-            )
-            self._safe_complete(lost_completion, None, True)
-
-    def _discard_await_locked(self, stream_id: str, seq: int) -> None:
-        """Drop one resolved seq from any epoch's await set (caller holds
-        ``_cv``)."""
-        for record in self._migrations.values():
-            waiting = record.get("await", {}).get(stream_id)
-            if waiting:
-                waiting.discard(seq)
-
-    def _ack(self, seq: int, served: bool = False) -> None:
-        with self._cv:
-            known = self._outstanding.pop(seq, None) is not None
-            stream_id = self._seq_streams.pop(seq, None)
-            if stream_id is not None and self._migrations:
-                self._discard_await_locked(stream_id, seq)
-            started = self._ingest_started.pop(seq, None)
-            if not known and served and self._lost_chunks > 0:
-                # The chunk was abandoned as lost when its shard died, but
-                # its reply had already made it out: it was fully served.
-                self._lost_chunks -= 1
-            self._cv.notify_all()
-        if served and started is not None and self._m_wire is not None:
-            # Enqueue-to-acknowledgement: queue residency + detection +
-            # explanation + the reply's trip back, i.e. what a producer
-            # actually waits for under the process executor.
-            self._m_wire.observe(max(0.0, time.monotonic() - started))
-
     def _defer(self, error: Exception) -> None:
         self._deferred.add(error)
 
@@ -1768,7 +1557,7 @@ class ProcessShardExecutor(Executor):
         with self._cv:
             if self._closed:
                 return False
-            return len(self._outstanding) < self.capacity
+            return self._ledger.outstanding < self.capacity
 
     # ------------------------------------------------------------------
     # Drain / stats
@@ -1811,14 +1600,14 @@ class ProcessShardExecutor(Executor):
                     for shard in self._shards.values():
                         self._flush_shard(shard)
             with self._cv:
-                if not self._outstanding:
+                if not self._ledger.outstanding:
                     break
             self._reap_dead_shards()
             # Fail fast on a recorded backend failure rather than waiting
             # (possibly forever) for acknowledgements that may never come.
             self._raise_deferred()
             with self._cv:
-                if not self._outstanding:
+                if not self._ledger.outstanding:
                     break
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
@@ -1837,16 +1626,10 @@ class ProcessShardExecutor(Executor):
                 "frames_sent": self._frames_sent,
                 "framed_chunks": self._framed_chunks,
                 "payload_bytes_inline": self._payload_bytes_inline,
-                "ingests": self._ingests,
-                "shard_ingests": dict(self._shard_ingests),
-                "outstanding": len(self._outstanding),
+                **self._ledger.stats(),
                 "restarts": self._restarts,
                 "retired_shards": self._retired,
                 "resizes": self._resizes,
                 "migrated_streams": self._migrated_streams,
-                "migration_buffer": self.migration_buffer,
-                "parked_chunks": self._parked_total,
-                "bounced_chunks": self._bounced,
-                "lost_chunks": self._lost_chunks,
                 "state_lost_streams": sorted(self._state_lost),
             }

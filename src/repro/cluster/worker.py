@@ -127,9 +127,9 @@ def shard_worker_main(
     shard_id: str,
     commands,
     replies,
+    control,
     cache_config=None,
     metrics_enabled: bool = False,
-    control=None,
 ) -> None:
     """Serve one shard until told to shut down.
 
@@ -144,6 +144,12 @@ def shard_worker_main(
         (:class:`multiprocessing.connection.Connection`), worker -> parent.
         One writer per pipe: a worker dying mid-``send`` can corrupt only
         its own pipe, never a lock shared with its siblings.
+    control:
+        Priority control lane (a second multiprocessing queue) carrying
+        only :class:`~repro.cluster.wire.MigrateOut` commands.  Polled
+        non-blocking ahead of ``commands`` and between the chunks of the
+        frame currently being served, so a migration's extraction starts
+        within one chunk's latency even under a deep ingest backlog.
     cache_config:
         Optional keyword arguments for this shard's private
         :class:`~repro.service.cache.SharedCaches`.
@@ -153,13 +159,6 @@ def shard_worker_main(
         labelled with this shard's id) and ships its ``state_dict`` inside
         every :class:`~repro.cluster.wire.ShardStatsReply`, where the
         parent merges it into the service-wide registry.
-    control:
-        Priority control lane (a second multiprocessing queue) carrying
-        only :class:`~repro.cluster.wire.MigrateOut` commands.  Polled
-        non-blocking ahead of ``commands`` and between the chunks of the
-        frame currently being served, so a migration's extraction starts
-        within one chunk's latency even under a deep ingest backlog.
-        ``None`` (tests driving the loop directly) disables the lane.
     """
     try:
         # Third-party backends must exist on *this* side of the wire too:
@@ -291,8 +290,6 @@ def shard_worker_main(
         replies.send(MigrateOutDone(shard_id=shard_id, epoch=command.epoch))
 
     def _poll_control() -> None:
-        if control is None:
-            return
         try:
             priority = control.get_nowait()
         except Empty:
@@ -371,12 +368,6 @@ def shard_worker_main(
                 runtime.register(command.stream_id, command.config)
             elif isinstance(command, RemoveStream):
                 runtime.remove(command.stream_id)
-            elif isinstance(command, MigrateOut):
-                # Main-queue fallback path (no control lane, or a test
-                # driving the loop directly): same sweep-and-bounce
-                # handler, arriving FIFO behind the backlog instead of
-                # interrupting it.
-                _migrate_out(command)
             elif isinstance(command, MigrateIn):
                 runtime.import_streams(command.streams)
                 exported.difference_update(command.streams)

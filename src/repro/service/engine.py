@@ -127,11 +127,6 @@ class ExplanationService:
         (default ``"spawn"``).  The CLI cross-validates these flag/executor
         combinations; the library constructor simply ignores options the
         chosen backend does not take.
-    migration_buffer:
-        Chunks the parent will park per resize for streams that are
-        mid-migration before applying backpressure (``process`` executor
-        only; default 64).  Larger buffers keep producers unblocked
-        through longer migrations at the cost of parent-side memory.
     metrics:
         Enable stage-latency telemetry: a
         :class:`~repro.obs.metrics.MetricsRegistry` instruments the five
@@ -178,7 +173,6 @@ class ExplanationService:
         executor: Union[str, Executor] = "inline",
         shards: int = 2,
         mp_context: Optional[str] = None,
-        migration_buffer: int = 64,
         metrics: bool = False,
         cache_ttl: Optional[float] = None,
         cache_max_entry_bytes: Optional[int] = None,
@@ -231,7 +225,6 @@ class ExplanationService:
                     shards,
                     mp_context,
                     self._cache_lifecycle,
-                    migration_buffer,
                 ),
             )
         self._executor = executor.bind(
@@ -246,8 +239,7 @@ class ExplanationService:
 
     @staticmethod
     def _executor_options(
-        name: str, capacity, shards, mp_context,
-        cache_lifecycle=None, migration_buffer=64,
+        name: str, capacity, shards, mp_context, cache_lifecycle=None
     ) -> dict:
         """The constructor options each named executor understands."""
         if name == "process":
@@ -255,7 +247,6 @@ class ExplanationService:
                 "shards": shards,
                 "mp_context": mp_context,
                 "capacity": capacity,
-                "migration_buffer": migration_buffer,
             }
             if cache_lifecycle:
                 # Each shard's private cache bundle inherits the parent's
@@ -486,13 +477,23 @@ class ExplanationService:
         :meth:`drain`/:meth:`close`.  This is the completion hook the
         asyncio front-end (:mod:`repro.aio`) bridges onto awaitable
         futures.
+
+        A chunk the stream's backend rejects — ``None``, NaN or inf
+        included — raises :class:`~repro.exceptions.ValidationError` naming
+        the stream, before any detector sees it.
         """
         if self._closed:
             # One uniform check for every backend: a closed service must
             # not advance detector state or counters.
             raise ValidationError("cannot submit to a closed service")
         state = self._registry.get(stream_id)
-        values = coerce_observations(observations, state.config)
+        try:
+            values = coerce_observations(observations, state.config)
+        except ValidationError:
+            # Attributed only on the way out, so an accepted chunk pays
+            # nothing for the context manager.
+            with attribute_stream(stream_id):
+                raise
         trace = self.tracer.start_chunk(stream_id) if self.tracer is not None else None
         if self._executor.owns_detection:
             # Observation counts come back with the shard acknowledgement

@@ -4,11 +4,13 @@ Covers the registry contract (unknown names list what *is* registered,
 duplicate registration is refused), the built-in ks1d/ks2d backends being
 ordinary plugins, renderer dispatch in :mod:`repro.io.export`, a custom
 backend serving end to end through the service as a pure one-file
-addition, and the stream-id attribution of registration-time validation
-errors.
+addition, the stream-id attribution of registration-time validation
+errors, and the rejection of missing or non-finite chunks at submit.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -213,6 +215,54 @@ class TestStreamIdAttribution:
             with pytest.raises(ValidationError) as err:
                 service.register("once", method="nope")
         assert str(err.value).count("'once'") == 1
+
+
+def drifting_chunks(backend: str) -> list:
+    """Six chunks of one stream that alarm at window 20."""
+    rng = np.random.default_rng(3)
+    shape = (120,) if backend == "ks1d" else (120, 2)
+    values = rng.normal(0.0, 1.0, size=shape)
+    values[100:] += 4.0
+    return np.array_split(values, 6)
+
+
+def replay_canonical(executor: str, backend: str, chunks: list, bad: list) -> str:
+    """Submit ``chunks`` with the ``bad`` ones after the third; each bad
+    chunk must raise a ValidationError naming the stream."""
+    with ExplanationService(
+        executor=executor,
+        shards=1,
+        default_config=StreamConfig(backend=backend, window_size=20),
+    ) as service:
+        service.register("s")
+        for index, chunk in enumerate(chunks):
+            if index == 3:
+                for values in bad:
+                    with pytest.raises(ValidationError, match="stream 's'"):
+                        service.submit("s", values)
+            service.submit("s", chunk)
+        service.drain()
+        report = service.report()
+    assert report.streams[0].alarms_raised >= 1
+    return json.dumps(report.canonical_dict(), sort_keys=True)
+
+
+class TestNonFiniteChunks:
+    """A missing or non-finite chunk is rejected at submit, before a
+    detector sees it: one NaN in a window would fail every later test."""
+
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    @pytest.mark.parametrize("backend", ["ks1d", "ks2d"])
+    def test_bad_chunk_raises_and_leaves_the_stream_untouched(self, executor, backend):
+        chunks = drifting_chunks(backend)
+        poisoned = chunks[3].copy()
+        poisoned[5] = np.nan
+        infinite = chunks[3].copy()
+        infinite[-1] = np.inf
+        bad = [None, poisoned, infinite]
+        assert replay_canonical(executor, backend, chunks, bad) == replay_canonical(
+            executor, backend, chunks, []
+        )
 
 
 class TestBackendProtocol:

@@ -238,7 +238,15 @@ class TestServeCommand:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag", ["--workers", "--max-batch", "--policy", "--transport", "--frame-size"]
+        "flag",
+        [
+            "--workers",
+            "--max-batch",
+            "--policy",
+            "--transport",
+            "--frame-size",
+            "--migration-buffer",
+        ],
     )
     def test_serve_rejects_removed_flags(self, fleet_files, flag):
         with pytest.raises(SystemExit):

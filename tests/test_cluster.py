@@ -13,13 +13,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cluster import HashRing, ShardRuntime
-from repro.cluster.wire import CrashShard, RemoveStream
+from repro.cluster.wire import CrashShard, RemoveStream, ReplyFrame
 from repro.core.construction import construct_most_comprehensible
 from repro.core.cumulative import ExplanationProblem
 from repro.core.size_search import explanation_size
@@ -311,6 +312,47 @@ class TestProcessShardFaults:
             report = service.report()
         by_id = {stream.stream_id: stream for stream in report.streams}
         assert by_id["b"].alarms_raised >= 1
+
+    def test_reply_read_after_its_shard_died_stays_lost(self, drifted_values):
+        """A reply the collector holds while its shard dies is not folded.
+
+        The write-off resolves the chunk as lost (its completion says so)
+        before the held reply is handled, so the reply is dropped: the
+        report must not count the chunk as served as well.
+        """
+        with ExplanationService(
+            executor="process", shards=1, default_config=StreamConfig(window_size=100)
+        ) as service:
+            service.register("s")
+            executor = service.executor
+            release, handled = threading.Event(), threading.Event()
+            original = executor._handle_reply
+
+            def hold_reply_frames(reply):
+                if not isinstance(reply, ReplyFrame):
+                    return original(reply)
+                release.wait()
+                try:
+                    return original(reply)
+                finally:
+                    handled.set()
+
+            executor._handle_reply = hold_reply_frames
+            results = []
+            service.submit("s", drifted_values[:600], on_complete=results.append)
+            # The CrashShard queues behind the chunk's frame: the worker
+            # sends the reply, then dies.
+            executor.crash_shard(executor.shard_of("s"))
+            executor._reap_dead_shards()
+            release.set()
+            assert handled.wait(60)
+            service.drain()
+            stats = service.stats()
+            (stream,) = service.report().streams
+        assert [result.lost for result in results] == [True]
+        assert stats["lost_chunks"] == 1
+        assert stream.observations == 0
+        assert stream.alarms_raised == 0
 
     def test_submit_after_close_fails_loudly(self):
         service = ExplanationService(
