@@ -19,8 +19,8 @@ Supporting modules: :mod:`~repro.cluster.wire` (picklable protocol
 messages), :mod:`~repro.cluster.runtime` (the shared detection/explanation
 path, also used in-process by the engine), :mod:`~repro.cluster.worker`
 (the shard process main loop), :mod:`~repro.cluster.inflight` (the
-process executor's ledger of chunks in flight, which resolves each one
-exactly once).
+process executor's ledger of chunks in flight and streams on the move,
+which resolves each chunk exactly once).
 """
 
 from repro.cluster.autoscale import (
@@ -54,9 +54,7 @@ from repro.cluster.wire import (
     IngestChunk,
     IngestReply,
     MigrateIn,
-    MigrateInDone,
     MigrateOut,
-    MigrateOutDone,
     RegisterStream,
     RemoveStream,
     ShardStatsReply,
@@ -78,9 +76,7 @@ __all__ = [
     "IngestReply",
     "InlineExecutor",
     "MigrateIn",
-    "MigrateInDone",
     "MigrateOut",
-    "MigrateOutDone",
     "ProcessShardExecutor",
     "LatencyPolicy",
     "QueueDepthPolicy",

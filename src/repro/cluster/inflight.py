@@ -1,22 +1,31 @@
-"""The in-flight ledger: every shard-bound chunk from admission to resolution.
+"""The in-flight ledger: every shard-bound chunk and every moving stream.
 
 :class:`~repro.cluster.sharding.ProcessShardExecutor` promises that each
 submitted chunk resolves exactly once — served into the report, failed by
 its worker, or counted lost — and that a stream moving between shards
-replays its chunks in submission order.  :class:`InFlightLedger` holds
-that promise as plain data: one :class:`ChunkRecord` per unresolved seq,
-the migrating streams, the capacity and parked bounds, and the counters
-the executor's ``stats()`` reports.  It holds no lock, thread, clock or
+replays its chunks in submission order behind its detector state.
+:class:`InFlightLedger` holds that promise as plain data: one
+:class:`ChunkRecord` per unresolved seq, one :class:`MoveRecord` per
+moving stream, the capacity and parked bounds, and the counters the
+executor's ``stats()`` reports.  It holds no lock, thread, clock or
 process: the executor calls it under its condition lock and performs what
-a call hands back (finish the chunk's trace, call its completion) outside
-that lock, and a state machine can drive it without spawning anything.
+a call hands back (finish the chunk's trace, call its completion, post the
+install) outside that lock, and a state machine can drive it without
+spawning anything.
 
-The one rule: a seq's first resolution is its only one.  A served reply
+The chunk rule: a seq's first resolution is its only one.  A served reply
 *claims* its seq before the service folds it and resolves it after the
 fold, so a shard write-off in between skips it and ``drain()`` cannot
 return mid-fold.  A reply, bounce or failure for a seq that is not routed
 to a shard and unclaimed — resolved (written off, closed), parked or
 claimed — resolves nothing and is dropped.
+
+The move rule: a moving stream installs on its new owner once its state is
+in hand — extracted by its source, or given up for a fresh registration —
+and its source holds none of its chunks, so every chunk admitted before
+the move is served there or bounced back to park first.  An epoch that
+expires (timeout, close) drops the second condition: a chunk stuck on a
+hung source can no longer hold its stream, and bounces late as lost.
 """
 
 from __future__ import annotations
@@ -45,8 +54,40 @@ class ChunkRecord:
     claimed: bool = False
 
 
+#: A move's payload until its state arrives or its source is given up.
+_PENDING = object()
+
+
+@dataclass(eq=False)
+class MoveRecord:
+    """One stream moving to a new shard in migration ``epoch``.
+
+    ``config`` is the stream's config snapshot, ``source`` the shard its
+    state leaves, and ``generation`` the source process the ``MigrateOut``
+    went to (opaque here: the executor compares it to tell a respawned
+    source from a live one).  ``payload`` is the extracted state — ``None``
+    for a fresh registration — or pending until it arrives or the source is
+    given up.  ``started`` is the quiesce stamp, opaque here.
+    """
+
+    stream_id: str
+    epoch: int
+    config: object
+    source: Optional[str]
+    generation: object
+    started: Optional[float]
+    payload: object = _PENDING
+    expired: bool = False
+
+    @property
+    def pending(self) -> bool:
+        """Whether the state has neither arrived nor been given up."""
+        return self.payload is _PENDING
+
+
 class InFlightLedger:
-    """Every unresolved chunk of one executor, and how each resolves.
+    """Every unresolved chunk and moving stream of one executor, and how
+    each resolves.
 
     ``capacity`` bounds unresolved chunks, parked ones included.  A chunk
     submitted to a migrating stream parks only while fewer than
@@ -58,7 +99,7 @@ class InFlightLedger:
         self.capacity = capacity
         self.parked_limit = parked_limit
         self._records: dict[int, ChunkRecord] = {}
-        self._migrating: set[str] = set()
+        self._moves: dict[str, MoveRecord] = {}
         self._seq = 0
         self.parked = 0
         self.ingests = 0
@@ -71,13 +112,13 @@ class InFlightLedger:
         return len(self._records)
 
     def is_migrating(self, stream_id: str) -> bool:
-        return stream_id in self._migrating
+        return stream_id in self._moves
 
     def has_room(self, stream_id: str) -> bool:
         """Whether :meth:`admit` may take one more chunk of ``stream_id``."""
         if len(self._records) >= self.capacity:
             return False
-        return stream_id not in self._migrating or self.parked < self.parked_limit
+        return stream_id not in self._moves or self.parked < self.parked_limit
 
     def holds(self, stream_id: str, shard_id: Optional[str]) -> bool:
         """Whether an unresolved chunk of ``stream_id`` is routed to ``shard_id``."""
@@ -95,7 +136,7 @@ class InFlightLedger:
         record = ChunkRecord(self._seq, stream_id, completion=completion, trace=trace)
         self._records[record.seq] = record
         self.ingests += 1
-        if stream_id in self._migrating:
+        if stream_id in self._moves:
             self._park(record, values)
         else:
             self._route(record, owner, started)
@@ -155,7 +196,7 @@ class InFlightLedger:
         record = self._routed(seq)
         if record is None:
             return None
-        if record.stream_id not in self._migrating:
+        if record.stream_id not in self._moves:
             return self._resolve(record, lost=True)
         # It counts against the destination when it replays.
         self.shard_ingests[record.owner] -= 1
@@ -174,19 +215,78 @@ class InFlightLedger:
     # ------------------------------------------------------------------
     # Migration and shutdown
     # ------------------------------------------------------------------
-    def begin_migration(self, stream_ids) -> None:
-        """From now on, new chunks of these streams park instead of routing."""
-        self._migrating.update(stream_ids)
+    def begin_move(
+        self,
+        stream_id: str,
+        epoch: int,
+        config,
+        source: Optional[str],
+        generation,
+        started: Optional[float] = None,
+    ) -> MoveRecord:
+        """Open a stream's move: from now on its new chunks park instead of
+        routing.  A stream has at most one move, so the caller opens one
+        only for a stream that is not migrating."""
+        move = MoveRecord(stream_id, epoch, config, source, generation, started)
+        self._moves[stream_id] = move
+        return move
+
+    def arrive(self, epoch: int, stream_id: str, payload) -> bool:
+        """A source shipped a stream's state.  It counts only for the
+        stream's current move of the same epoch, and replaces a given-up
+        fallback until the move is released."""
+        move = self._moves.get(stream_id)
+        if move is None or move.epoch != epoch:
+            return False
+        move.payload = payload
+        return True
+
+    def give_up(self, source: str) -> None:
+        """A source died, was respawned or failed its ``MigrateOut``: each
+        of its moves still waiting for state falls back to a fresh one."""
+        for move in self._moves.values():
+            if move.source == source and move.pending:
+                move.payload = None
+
+    def expire(self, epoch: int) -> None:
+        """The epoch timed out or the executor closed: its moves stop
+        waiting, for their state and for their source's chunks alike."""
+        for move in self.moves(epoch):
+            move.expired = True
+            if move.pending:
+                move.payload = None
+
+    def moves(self, epoch: int) -> list[MoveRecord]:
+        """The epoch's unreleased moves, by stream id."""
+        return sorted(
+            (move for move in self._moves.values() if move.epoch == epoch),
+            key=lambda move: move.stream_id,
+        )
+
+    def installable(self, epoch: int) -> list[MoveRecord]:
+        """The epoch's moves ready to install, by stream id: state in hand
+        and, unless the epoch expired, no chunk of the stream still routed
+        to its source.  New chunks of a moving stream park, so the source's
+        share only shrinks."""
+        return [
+            move
+            for move in self.moves(epoch)
+            if not move.pending
+            and (move.expired or not self.holds(move.stream_id, move.source))
+        ]
 
     def release_stream(
         self, stream_id: str, dest: Optional[str], started: Optional[float] = None
-    ) -> list[tuple[ChunkRecord, object]]:
-        """End a stream's migration and hand back its parked chunks as
-        ``(record, values)`` pairs in seq order — submission order, although
-        bounced chunks park after the producer's.  With a destination each
-        is routed there, to follow the stream's install; without one each
-        resolves as lost."""
-        self._migrating.discard(stream_id)
+    ) -> tuple[Optional[MoveRecord], list[tuple[ChunkRecord, object]]]:
+        """Retire a stream's move and hand it back with its parked chunks,
+        as ``(record, values)`` pairs in seq order — submission order,
+        although bounced chunks park after the producer's.  With a
+        destination each is routed there, to follow the stream's install;
+        without one each resolves as lost.  ``(None, [])`` when the stream
+        has no move: a move releases at most once."""
+        move = self._moves.pop(stream_id, None)
+        if move is None:
+            return None, []
         parked = sorted(
             (r for r in self._records.values() if r.stream_id == stream_id and r.owner is None),
             key=lambda record: record.seq,
@@ -200,11 +300,12 @@ class InFlightLedger:
                 self.parked -= 1
                 record.values = None
                 self._route(record, dest, started)
-        return released
+        return move, released
 
     def close(self) -> list[ChunkRecord]:
-        """Resolve every unresolved chunk as lost: nothing will serve it."""
-        self._migrating.clear()
+        """Drop every move and resolve every unresolved chunk as lost:
+        nothing will serve it."""
+        self._moves.clear()
         return [self._resolve(record, lost=True) for record in list(self._records.values())]
 
     def stats(self) -> dict:

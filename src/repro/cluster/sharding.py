@@ -20,11 +20,14 @@ flusher), on ``drain()``, and ahead of every control command, so the
 command queue's FIFO order holds for control commands too.  The worker
 answers each frame with one :class:`~repro.cluster.wire.ReplyFrame`.
 
-Every chunk from admission to resolution is one record of an
+Every chunk from admission to resolution, and every stream moving between
+shards, is one record of an
 :class:`~repro.cluster.inflight.InFlightLedger`, which this executor calls
-under its condition lock and which resolves each seq exactly once —
-served, failed by its worker, or lost.  A reply, bounce or failure that
-arrives for a seq already resolved is dropped.
+under its condition lock.  It resolves each seq exactly once — served,
+failed by its worker, or lost — and decides when a moving stream may
+install; a reply, bounce or failure that arrives for a seq already
+resolved is dropped.  What is left here is the IO: processes, lanes,
+frames, liveness and deadlines.
 
 Fault handling is shard-level: a worker process that dies — crash, OOM
 kill, the :class:`~repro.cluster.wire.CrashShard` test hook — is detected
@@ -58,10 +61,10 @@ the backlog's drain.  Chunks submitted to a migrating stream park in the
 parent (at most :data:`MIGRATION_BUFFER` of them); bounced and parked
 chunks replay on the new owner in seq order strictly behind the install,
 so a replay that spans a resize produces the exact alarms and
-explanations of a fixed-shard run.  The ``MigrateIn`` acknowledgements
-are counted down asynchronously by the collector (per-shard command FIFO
-already orders each install before the stream's next chunk), so a grow
-never stalls on a freshly spawned worker's cold start.
+explanations of a fixed-shard run.  No install is acknowledged: the
+per-shard command FIFO already orders each ``MigrateIn`` before the
+stream's next chunk, so a grow never stalls on a freshly spawned worker's
+cold start.
 """
 
 from __future__ import annotations
@@ -87,9 +90,7 @@ from repro.cluster.wire import (
     IngestChunk,
     IngestReply,
     MigrateIn,
-    MigrateInDone,
     MigrateOut,
-    MigrateOutDone,
     MigrateStreamDone,
     RegisterStream,
     RemoveStream,
@@ -196,7 +197,7 @@ class ProcessShardExecutor(Executor):
         shard_ids = [f"shard-{index}" for index in range(self.shard_count)]
         self._ring = HashRing(shard_ids, replicas=RING_REPLICAS)
         self._shards = {shard_id: _Shard(shard_id) for shard_id in shard_ids}
-        # Guards the ledger and the rendezvous records below.
+        # Guards the ledger and the collection rendezvous below.
         self._cv = threading.Condition()
         self._ledger = InFlightLedger(self.capacity, MIGRATION_BUFFER)
         self._deferred = DeferredErrors()
@@ -208,11 +209,9 @@ class ProcessShardExecutor(Executor):
         self._reply_readers: list = []
         self._collector: Optional[threading.Thread] = None
         self._collector_stop = threading.Event()
-        # Elastic rebalancing / fault bookkeeping.  ``_migrations`` and
-        # ``_stats_collections`` are the per-epoch rendezvous records the
-        # collector thread fills in.
+        # Elastic rebalancing / fault bookkeeping.  ``_stats_collections``
+        # are the per-epoch rendezvous records the collector thread fills in.
         self._resize_lock = threading.Lock()
-        self._migrations: dict[int, dict] = {}
         # Shards whose worker has sent WorkerReady for its *current*
         # process generation; cleared on (re)spawn, so wait_ready() is a
         # deterministic warm-fleet barrier.
@@ -471,7 +470,6 @@ class ProcessShardExecutor(Executor):
                 self._close_lanes(shard)
             with self._cv:
                 abandoned = self._ledger.close()
-                self._migrations.clear()
         # Chunks the shutdown discarded still resolve their futures.
         self._settle_lost(abandoned, "executor closed")
         if pending_error is not None:
@@ -770,10 +768,7 @@ class ProcessShardExecutor(Executor):
                 continue  # its own respawn replays the snapshot under the new ring
             self._post(
                 dest,
-                MigrateIn(
-                    epoch=0,  # untracked: no resize is waiting on this install
-                    streams={stream_id: {"config": snapshot[stream_id], "state": None}},
-                ),
+                MigrateIn(streams={stream_id: {"config": snapshot[stream_id], "state": None}}),
             )
 
     # ------------------------------------------------------------------
@@ -809,13 +804,9 @@ class ProcessShardExecutor(Executor):
                 current = len(self._shards)
                 if shards == current:
                     return current
-                grow = shards > current
                 with self._cv:
                     self._resizes += 1
-            if grow:
-                self._grow(shards, timeout)
-            else:
-                self._shrink(shards, timeout)
+            self._rebalance(shards, timeout)
             with self._cv:
                 new_count = self.shard_count
             if self._recorder is not None:
@@ -835,320 +826,178 @@ class ProcessShardExecutor(Executor):
             index += 1
         return ids
 
-    def _open_epoch(self) -> int:
-        """Allocate a migration epoch record (caller holds the lifecycle lock)."""
-        self._epoch += 1
-        epoch = self._epoch
-        with self._cv:
-            # Lazily drop finished records whose last ack never came (a
-            # destination that died before answering its MigrateIn): the
-            # resize lock guarantees no pipeline is still driving them.
-            for stale in [e for e, r in self._migrations.items() if r.get("done")]:
-                self._migrations.pop(stale)
-            self._migrations[epoch] = {
-                "out_pending": {},  # source shard id -> process at enqueue time
-                "in_pending": {},  # dest shard id -> un-acked MigrateIn count
-                "moved": {},  # stream id -> config snapshot
-                "source": {},  # stream id -> source shard id
-                "arrived": {},  # stream id -> payload (None = fresh fallback)
-                "installed": set(),  # stream ids installed + released
-                # Set on timeout or close: a stream still held by its source
-                # may install anyway (a later bounce then resolves as lost).
-                "expired": False,
-                "started": {},  # stream id -> monotonic quiesce stamp
-                "done": False,  # pipeline finished; record is prunable
-            }
-        return epoch
+    def _rebalance(self, target: int, timeout: Optional[float]) -> None:
+        """Move the pool to ``target`` shards and migrate the streams whose
+        ring owner changes: one move each, one ``MigrateOut`` per live source.
 
-    def _grow(self, target: int, timeout: Optional[float]) -> None:
+        A grow spawns its newcomers before the ring knows them, so the
+        snapshot replay inside :meth:`_spawn` registers nothing on them:
+        they start empty and receive their streams, state intact, by
+        ``MigrateIn``.  A shrink pops its victims (the highest indices) from
+        the table at once, so crash handling cannot respawn one; local
+        references keep their handles for the ``MigrateOut`` and the
+        retirement once the pipeline is done.  A source that is already
+        dead gets no ``MigrateOut``: the pipeline gives it up.
+        """
         with self._lifecycle:
-            fresh = [
-                _Shard(shard_id)
-                for shard_id in self._new_shard_ids(target - len(self._shards))
-            ]
+            ranked = sorted(self._shards, key=_shard_index)
+            victims = {shard_id: self._shards.pop(shard_id) for shard_id in ranked[target:]}
+            fresh = [_Shard(shard_id) for shard_id in self._new_shard_ids(target - len(ranked))]
             for shard in fresh:
-                # The ring does not know the newcomer yet, so the snapshot
-                # replay inside _spawn sees nothing owned by it: it starts
-                # empty and receives its streams via MigrateIn, state intact.
                 self._shards[shard.shard_id] = shard
                 self._spawn(shard)
             snapshot = self.hooks.snapshot() if self.hooks is not None else {}
             before = {sid: self._ring.shard_for(sid) for sid in snapshot}
             for shard in fresh:
                 self._ring.add(shard.shard_id)
-            moved = {
-                sid: snapshot[sid]
-                for sid in snapshot
-                if self._ring.shard_for(sid) != before[sid]
+            for shard_id in victims:
+                self._ring.remove(shard_id)
+            # The ring is consistent: a grow moves streams only onto the
+            # newcomers, a shrink only off the victims.
+            moved = [sid for sid in sorted(snapshot) if self._ring.shard_for(sid) != before[sid]]
+            sources = {
+                before[sid]: self._shards.get(before[sid]) or victims[before[sid]]
+                for sid in moved
             }
-            epoch = self._open_epoch()
-            record = self._migrations[epoch]
+            self._epoch += 1
+            epoch = self._epoch
             now = time.monotonic()
             with self._cv:
                 self.shard_count = len(self._shards)
-                self._ledger.begin_migration(moved)
                 self._migrated_streams += len(moved)
-                record["moved"] = dict(moved)
-                record["started"] = {sid: now for sid in moved}
-            self._note_migration_begin(epoch, moved, grow=True)
-            by_source: dict[str, list[str]] = {}
-            for sid in moved:
-                by_source.setdefault(before[sid], []).append(sid)
-            for source_id, stream_ids in sorted(by_source.items()):
-                source = self._shards.get(source_id)
-                if source is not None:
-                    self._ensure_alive(source)
-                    source = self._shards.get(source_id)  # may have been retired
-                if (
-                    source is None
-                    or source.process is None
-                    or not source.process.is_alive()
-                ):
-                    # State already lost with the dead source: these streams
-                    # fall back to fresh registration right away.
-                    with self._cv:
-                        for sid in stream_ids:
-                            record["arrived"].setdefault(sid, None)
-                    continue
-                with self._cv:
-                    record["out_pending"][source_id] = source.process
-                    for sid in stream_ids:
-                        record["source"][sid] = source_id
-                self._post_priority(
-                    source,
-                    MigrateOut(epoch=epoch, stream_ids=tuple(sorted(stream_ids))),
-                )
-        self._pipeline_epoch(epoch, timeout)
-
-    def _shrink(self, target: int, timeout: Optional[float]) -> None:
-        with self._lifecycle:
-            victim_ids = sorted(self._shards, key=_shard_index)[target:]
-            # Popped immediately so crash handling cannot respawn a victim;
-            # local references keep the handles for MigrateOut + Shutdown.
-            victims = [self._shards.pop(shard_id) for shard_id in victim_ids]
-            snapshot = self.hooks.snapshot() if self.hooks is not None else {}
-            owner = {sid: self._ring.shard_for(sid) for sid in snapshot}
-            for victim in victims:
-                self._ring.remove(victim.shard_id)
-            moved = {
-                sid: snapshot[sid] for sid in snapshot if owner[sid] in set(victim_ids)
-            }
-            epoch = self._open_epoch()
-            record = self._migrations[epoch]
-            now = time.monotonic()
-            with self._cv:
-                self.shard_count = len(self._shards)
-                self._ledger.begin_migration(moved)
-                self._migrated_streams += len(moved)
-                record["moved"] = dict(moved)
-                record["started"] = {sid: now for sid in moved}
-            self._note_migration_begin(epoch, moved, grow=False)
-            for victim in victims:
-                stream_ids = tuple(
-                    sorted(sid for sid in moved if owner[sid] == victim.shard_id)
-                )
-                if victim.process is None or not victim.process.is_alive():
-                    # A dead victim's state and in-flight chunks are gone;
-                    # nobody will reap it now that it left the table (it is
-                    # no longer in ``_shards``, so its buffered frame must
-                    # be dropped here too).
-                    victim.pending.clear()
-                    self._write_off(victim.shard_id)
-                    with self._cv:
-                        for sid in stream_ids:
-                            record["arrived"].setdefault(sid, None)
-                    continue
-                with self._cv:
-                    record["out_pending"][victim.shard_id] = victim.process
-                    for sid in stream_ids:
-                        record["source"][sid] = victim.shard_id
-                self._post_priority(
-                    victim, MigrateOut(epoch=epoch, stream_ids=stream_ids)
-                )
+                for sid in moved:
+                    source = sources[before[sid]]
+                    self._ledger.begin_move(
+                        sid, epoch, snapshot[sid], source.shard_id, source.process, now
+                    )
+            self._note_migration_begin(epoch, len(moved), grow=bool(fresh))
+            for source_id, source in sorted(sources.items()):
+                if source.process.is_alive():
+                    stream_ids = tuple(sid for sid in moved if before[sid] == source_id)
+                    self._post_priority(source, MigrateOut(epoch=epoch, stream_ids=stream_ids))
         self._pipeline_epoch(epoch, timeout)
         # Retire the victims.  The Shutdown rides the main queue, behind
         # whatever swept backlog each victim is still serving (all of its
         # own chunks bounced, so that backlog is control commands and
         # other-stream stragglers); no new work can reach it — the ring
         # already forgot it.
-        for victim in victims:
-            if victim.process is not None and victim.process.is_alive():
+        for victim in victims.values():
+            if victim.process.is_alive():
                 victim.commands.put(Shutdown())
-        for victim in victims:
-            if victim.process is not None:
-                victim.process.join(10)
-                if victim.process.is_alive():
-                    victim.process.terminate()
-                    victim.process.join(1)
+        for victim in victims.values():
+            victim.process.join(10)
+            if victim.process.is_alive():
+                victim.process.terminate()
+                victim.process.join(1)
             victim.pending.clear()
             self._close_lanes(victim)
+            if victim.process.exitcode != 0:
+                # Killed, terminated or hung: nobody else reaps a victim,
+                # so what is still routed to it is lost here.  A clean exit
+                # left its replies in the pipe for the collector.
+                self._write_off(victim.shard_id)
 
-    def _note_migration_begin(self, epoch: int, moved: dict, grow: bool) -> None:
+    def _note_migration_begin(self, epoch: int, moved: int, grow: bool) -> None:
         """Count + record the opening of one migration epoch."""
         if self._c_migrations is not None:
             self._c_migrations.inc()
         if self._c_migrated is not None and moved:
-            self._c_migrated.inc(len(moved))
+            self._c_migrated.inc(moved)
         if self._recorder is not None:
             self._recorder.record(
                 None,
                 "migration_begin",
                 epoch=epoch,
-                streams=len(moved),
+                streams=moved,
                 direction="grow" if grow else "shrink",
             )
 
     def _pipeline_epoch(self, epoch: int, timeout: Optional[float]) -> None:
         """Drive one migration epoch's per-stream pipeline to completion.
 
-        The collector thread fills ``record["arrived"]`` as the sources
-        stream their per-stream extractions; this loop installs each one
-        the moment it lands (:meth:`_release_stream`), falls back to a
-        fresh registration for streams whose source died or whose
-        extraction outlived ``timeout``, and returns once every moved
-        stream is installed and serving again.  MigrateIn acks are *not*
-        awaited — the collector counts them down asynchronously (per-shard
-        command FIFO already orders each install before the stream's
-        replayed chunks), so a grow never stalls on a fresh worker's cold
-        start.  Runs outside the lifecycle lock so ingestion of unaffected
-        streams (and crash handling) keeps flowing throughout.
+        The collector hands each extracted state to the ledger as it lands;
+        this loop installs every move the ledger lists as installable
+        (:meth:`_release_stream`), gives up the sources that can no longer
+        deliver, expires the epoch once ``timeout`` passes or the executor
+        closes, and returns once every move is released.  Runs outside the
+        lifecycle lock so ingestion of unaffected streams (and crash
+        handling) keeps flowing throughout.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._cv:
-                ready = self._installable_locked(epoch)
-            for stream_id in ready:
-                self._release_stream(epoch, stream_id)
-            with self._cv:
-                record = self._migrations[epoch]
-                if len(record["installed"]) >= len(record["moved"]):
-                    record["done"] = True
-                    self._prune_epoch_locked(epoch)
-                    self._cv.notify_all()
+                ready = [move.stream_id for move in self._ledger.installable(epoch)]
+                if not ready and not self._ledger.moves(epoch):
                     return
+            for stream_id in ready:
+                self._release_stream(stream_id)
+            if ready:
+                continue
             self._reap_dead_shards()
-            # Sources that left ``out_pending`` without answering (killed,
-            # respawned, or a reported WorkerFailure) can no longer deliver
-            # their remaining streams: fall those back to fresh
-            # registrations now instead of waiting out the deadline.
             dead_victims: list[str] = []
             with self._lifecycle:
                 with self._cv:
-                    record = self._migrations[epoch]
-                    for shard_id, process in list(record["out_pending"].items()):
-                        shard = self._shards.get(shard_id)
+                    waiting = {
+                        move.source: move.generation
+                        for move in self._ledger.moves(epoch)
+                        if move.pending
+                    }
+                    for source_id, process in waiting.items():
+                        shard = self._shards.get(source_id)
                         if shard is None:
-                            # A shrink victim: a clean exit means its
-                            # replies are already buffered in the pipe, so
-                            # only a hard death writes its streams off —
-                            # and its chunks, since no one else reaps it.
-                            if not process.is_alive() and process.exitcode != 0:
-                                record["out_pending"].pop(shard_id)
-                                dead_victims.append(shard_id)
-                        elif shard.process is not process:
-                            # Crashed and respawned: the command queue (and
-                            # the state) died with the old process, whose
-                            # chunks the reap already wrote off.
-                            record["out_pending"].pop(shard_id)
-                    live_sources = set(record["out_pending"])
-                    for sid, source_id in record["source"].items():
-                        if (
-                            sid not in record["arrived"]
-                            and source_id not in live_sources
-                        ):
-                            record["arrived"][sid] = None
+                            # A shrink victim, which nobody else reaps; a
+                            # clean exit left its replies in the pipe.
+                            if process.is_alive() or process.exitcode == 0:
+                                continue
+                            dead_victims.append(source_id)
+                        elif shard.process is process and process.is_alive():
+                            continue
+                        # Dead or respawned, the state is gone (the reap
+                        # above wrote off a dead generation's chunks).
+                        self._ledger.give_up(source_id)
             for shard_id in dead_victims:
                 self._write_off(shard_id)
             with self._cv:
-                if self._installable_locked(epoch):
+                if self._ledger.installable(epoch):
                     continue  # installs became ready while we were reaping
-                record = self._migrations[epoch]
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if self._closed or (remaining is not None and remaining <= 0):
                     # Timed out — or close() raced us and the replies will
-                    # never come: fall back everything still in flight (a
-                    # chunk stuck on a hung source can no longer gate its
-                    # stream's install; if it bounces later it resolves as
-                    # lost rather than replaying out of order).
-                    record["out_pending"].clear()
-                    record["expired"] = True
-                    for sid in record["moved"]:
-                        record["arrived"].setdefault(sid, None)
+                    # never come.
+                    self._ledger.expire(epoch)
                     continue
                 self._cv.wait(0.05 if remaining is None else min(0.05, remaining))
 
-    def _installable_locked(self, epoch: int) -> list[str]:
-        """Streams of an epoch ready to install, in order (caller holds ``_cv``).
-
-        A stream is installable once its state has arrived *and* its source
-        holds none of its chunks: the priority-lane MigrateOut overtakes the
-        source's queued ingest, so each chunk enqueued before the migration
-        must be served there or bounce back into the parked set first —
-        installing earlier would replay later chunks ahead of earlier ones.
-        New chunks of a migrating stream park instead of routing, so the
-        source's share only shrinks.
-        """
-        record = self._migrations[epoch]
-        return sorted(
-            sid
-            for sid in record["arrived"]
-            if sid not in record["installed"]
-            and (
-                record["expired"]
-                or not self._ledger.holds(sid, record["source"].get(sid))
-            )
-        )
-
-    def _release_stream(self, epoch: int, stream_id: str) -> None:
+    def _release_stream(self, stream_id: str) -> None:
         """Install one stream on its new owner and release it immediately.
 
-        The MigrateIn is enqueued *before* the stream leaves the migrating
-        set and before its parked chunks replay, so every chunk — parked
+        The lifecycle lock keeps producers out until the ``MigrateIn`` is
+        posted ahead of the stream's parked chunks, so every chunk — parked
         or yet to come — queues strictly behind the install (FIFO).  A
         ``None`` payload (source died, timed out, or no longer held the
         stream) registers it fresh and records the loss; a dead
         destination is respawned by the ordinary fault path first.
         """
-        fresh = False
         with self._lifecycle:
-            with self._cv:
-                record = self._migrations.get(epoch)
-                if record is None or stream_id in record["installed"]:
-                    return
-                record["installed"].add(stream_id)
-                payload = record["arrived"].get(stream_id)
-                config = record["moved"][stream_id]
-                started = record["started"].get(stream_id)
-            if payload is None:
-                fresh = True
-                payload = {"config": config, "state": None}
-                with self._cv:
-                    self._state_lost.add(stream_id)
-            dest = None
             try:
                 dest = self._shard_for_stream(stream_id)
             except (ValidationError, ServiceBackendError):
                 dest = None  # closed, or the destination exhausted its budget
-            if dest is not None:
-                with self._cv:
-                    record["in_pending"][dest.shard_id] = (
-                        record["in_pending"].get(dest.shard_id, 0) + 1
-                    )
-                self._post(dest, MigrateIn(epoch=epoch, streams={stream_id: payload}))
-            elif not fresh:
-                fresh = True
-                with self._cv:
-                    self._state_lost.add(stream_id)
             stamp = (
                 time.monotonic()
                 if self._metrics_on or self._tracer is not None
                 else None
             )
             with self._cv:
-                released = self._ledger.release_stream(
+                move, released = self._ledger.release_stream(
                     stream_id, dest.shard_id if dest is not None else None, stamp
                 )
+                fresh = move is not None and (move.payload is None or dest is None)
+                if fresh:
+                    self._state_lost.add(stream_id)
                 self._cv.notify_all()
+            if move is None:
+                return  # close() dropped the move first
             if dest is None:
                 # Exactly like an in-flight chunk on a dead shard.
                 self._settle_lost(
@@ -1156,10 +1005,14 @@ class ProcessShardExecutor(Executor):
                     "migration destination unavailable",
                 )
             else:
+                payload = move.payload
+                if payload is None:
+                    payload = {"config": move.config, "state": None}
+                self._post(dest, MigrateIn(streams={stream_id: payload}))
                 for record, values in released:
                     self._buffer(dest, self._wire_chunk(record, values))
         quiesced = (
-            max(0.0, time.monotonic() - started) if started is not None else None
+            max(0.0, time.monotonic() - move.started) if move.started is not None else None
         )
         if quiesced is not None and self._m_quiesce is not None:
             self._m_quiesce.observe(quiesced)
@@ -1168,25 +1021,13 @@ class ProcessShardExecutor(Executor):
                 dest.shard_id if dest is not None else None,
                 "migrate_stream",
                 stream=stream_id,
-                epoch=epoch,
+                epoch=move.epoch,
                 state="fresh" if fresh else "moved",
                 parked=len(released),
                 quiesce_ms=(
                     round(quiesced * 1000, 3) if quiesced is not None else None
                 ),
             )
-
-    def _prune_epoch_locked(self, epoch: int) -> None:
-        """Drop a finished epoch record once nothing references it (caller
-        holds ``_cv``)."""
-        record = self._migrations.get(epoch)
-        if (
-            record is not None
-            and record.get("done")
-            and not record.get("out_pending")
-            and not record.get("in_pending")
-        ):
-            self._migrations.pop(epoch, None)
 
     # ------------------------------------------------------------------
     # Worker-side collections (cache statistics, state captures)
@@ -1323,8 +1164,7 @@ class ProcessShardExecutor(Executor):
         Rides the same idempotent ``MigrateIn`` install path a live
         rebalance uses (streams must already be registered; per-shard FIFO
         orders the install strictly before any subsequently ingested
-        chunk).  The epoch is 0: no rendezvous waits on these installs.
-        The resize lock keeps the ring stable while the installs are
+        chunk).  The resize lock keeps the ring stable while the installs are
         routed, so a concurrent rebalance cannot strand one on a shard
         that is no longer the stream's owner.
         """
@@ -1337,10 +1177,7 @@ class ProcessShardExecutor(Executor):
                     handles[shard.shard_id] = shard
                     by_shard.setdefault(shard.shard_id, {})[stream_id] = payload
                 for shard_id in sorted(by_shard):
-                    self._post(
-                        handles[shard_id],
-                        MigrateIn(epoch=0, streams=by_shard[shard_id]),
-                    )
+                    self._post(handles[shard_id], MigrateIn(streams=by_shard[shard_id]))
 
     def seed_caches(self, contents: dict) -> None:
         """Warm every live shard's private caches from snapshot contents.
@@ -1465,38 +1302,11 @@ class ProcessShardExecutor(Executor):
                 self._ready.add(reply.shard_id)
                 self._cv.notify_all()
         elif isinstance(reply, MigrateStreamDone):
-            # One stream's state just left its source: hand it to the
-            # resize thread (which installs it under the lifecycle lock —
-            # never here, the collector must stay lock-light) unless the
-            # pipeline already gave up on it and installed a fresh fallback.
+            # One stream's state just left its source: the ledger keeps it
+            # for the resize thread, which installs it under the lifecycle
+            # lock — never here, the collector must stay lock-light.
             with self._cv:
-                record = self._migrations.get(reply.epoch)
-                if record is not None and reply.stream_id not in record.get(
-                    "installed", ()
-                ):
-                    record.setdefault("arrived", {})[reply.stream_id] = reply.state
-                    self._cv.notify_all()
-        elif isinstance(reply, MigrateOutDone):
-            with self._cv:
-                record = self._migrations.get(reply.epoch)
-                if record is not None:
-                    record["out_pending"].pop(reply.shard_id, None)
-                    self._prune_epoch_locked(reply.epoch)
-                    self._cv.notify_all()
-        elif isinstance(reply, MigrateInDone):
-            with self._cv:
-                record = self._migrations.get(reply.epoch)
-                if record is not None:
-                    # Per-stream installs mean several MigrateIns (and acks)
-                    # per destination: count them down, pop at zero.  Nobody
-                    # blocks on this — it only lets the epoch record retire.
-                    pending = record["in_pending"]
-                    count = pending.get(reply.shard_id)
-                    if isinstance(count, int) and count > 1:
-                        pending[reply.shard_id] = count - 1
-                    else:
-                        pending.pop(reply.shard_id, None)
-                    self._prune_epoch_locked(reply.epoch)
+                if self._ledger.arrive(reply.epoch, reply.stream_id, reply.state):
                     self._cv.notify_all()
         elif isinstance(reply, (ShardStatsReply, StateCaptureReply)):
             with self._cv:
@@ -1526,23 +1336,15 @@ class ProcessShardExecutor(Executor):
                 if failed is not None:
                     self._finish_trace(failed.trace, "error", error=reply.message)
                     self._safe_complete(failed.completion, None, True)
-            if reply.command in (
-                "MigrateOut",
-                "MigrateIn",
-                "CollectStats",
-                "CaptureState",
-            ):
+            if reply.command in ("MigrateOut", "CollectStats", "CaptureState"):
                 # The failure replaced a reply some rendezvous is waiting
                 # on: release it, or a resize()/cache_stats() caller with
                 # no deadline would wait forever on a live-but-failing
-                # worker.  Streams the failed source never delivered fall
-                # back to fresh registration (recorded as lost) in
-                # _pipeline_epoch once it sees the source gone.
+                # worker.  Streams a failed source never delivered fall
+                # back to fresh registration (recorded as lost).
                 with self._cv:
-                    for epoch_id, record in list(self._migrations.items()):
-                        record["out_pending"].pop(reply.shard_id, None)
-                        record["in_pending"].pop(reply.shard_id, None)
-                        self._prune_epoch_locked(epoch_id)
+                    if reply.command == "MigrateOut":
+                        self._ledger.give_up(reply.shard_id)
                     for collection in self._stats_collections.values():
                         collection["expected"].pop(reply.shard_id, None)
                     self._cv.notify_all()

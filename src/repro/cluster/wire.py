@@ -19,17 +19,16 @@ The protocol is deliberately small:
   counts; when tracing is on the chunk carries a
   :class:`~repro.obs.trace.TraceContext` and the reply ships the
   worker-side spans back for re-parenting;
-* ``MigrateOut`` → ``MigrateStreamDone``\\ * → ``MigrateOutDone`` — live
-  rebalancing: the worker extracts the named streams *one at a time*,
-  answering each with a ``MigrateStreamDone`` carrying that stream's
-  ``state_dict()`` snapshot (and serving any ingest frames that queued up
-  between extractions), then closes the request with an empty
-  ``MigrateOutDone`` marker.  The parent installs each stream on its new
+* ``MigrateOut`` → ``MigrateStreamDone``\\ * — live rebalancing: the
+  worker extracts the named streams *one at a time*, answering each with a
+  ``MigrateStreamDone`` carrying that stream's ``state_dict()`` snapshot —
+  a moved stream's only reply.  The parent installs each stream on its new
   ring owner the moment its state arrives, so a stream is only quiesced
   for its *own* extract→install hop, never for the whole epoch;
-* ``MigrateIn`` → ``MigrateInDone`` — install migrated streams on their new
-  shard, restoring detector state so no observation is re-detected or lost
-  across a resize;
+* ``MigrateIn`` — install migrated streams on their new shard, restoring
+  detector state so no observation is re-detected or lost across a resize
+  (unacknowledged: the command FIFO orders it before the stream's next
+  chunk);
 * ``CollectStats`` → ``ShardStatsReply`` — snapshot the worker's private
   cache statistics so the parent report can aggregate them;
 * ``CaptureState`` → ``StateCaptureReply`` — *non-destructive* capture of
@@ -121,10 +120,10 @@ class MigrateOut:
     (the parent replays those on the new owner, in seq order, ahead of
     anything parked later), then extracts each named stream and replies
     with a :class:`MigrateStreamDone` per stream the moment its state is
-    snapshotted, closing with a :class:`MigrateOutDone` marker.  A stream
-    the worker does not know (e.g. because it respawned after the ring
-    was already updated) answers with a ``None`` payload; the parent
-    registers it fresh on the destination and records the state loss.
+    snapshotted; nothing else answers the request.  A stream the worker
+    does not know (e.g. because it respawned after the ring was already
+    updated) answers with a ``None`` payload; the parent registers it
+    fresh on the destination and records the state loss.
     """
 
     epoch: int
@@ -141,7 +140,6 @@ class MigrateIn:
     snapshot replay) keeps its registration and only loads the state.
     """
 
-    epoch: int
     streams: dict
 
 
@@ -248,9 +246,10 @@ class MigrateStreamDone:
     :class:`MigrateIn` installs, or ``None`` when the worker did not hold
     the stream (respawn raced the ring update) or its export failed — the
     parent then registers the stream fresh and records the state loss.
-    Streaming these per stream (instead of batching them into the final
-    :class:`MigrateOutDone`) is what lets the parent release each stream
+    Streaming these per stream is what lets the parent release each stream
     after its *own* extract→install hop instead of the whole epoch's.
+    ``epoch`` names the migration it answers, so a late reply to an
+    earlier move of the same stream is ignored.
     """
 
     shard_id: str
@@ -278,28 +277,6 @@ class ChunkBounce:
     seq: int
     stream_id: str
     values: object = None
-
-
-@dataclass
-class MigrateOutDone:
-    """End-of-extraction marker closing one :class:`MigrateOut` request.
-
-    Every requested stream has already shipped as its own
-    :class:`MigrateStreamDone`; this marker only tells the parent that the
-    source has nothing more to say about the epoch.
-    """
-
-    shard_id: str
-    epoch: int
-
-
-@dataclass
-class MigrateInDone:
-    """Acknowledgement that one :class:`MigrateIn` batch was installed."""
-
-    shard_id: str
-    epoch: int
-    stream_ids: tuple[str, ...] = ()
 
 
 @dataclass
@@ -370,8 +347,8 @@ class WorkerFailure:
     When ``seq`` is set, the failure consumed that chunk (the parent must
     still mark it acknowledged so ``drain()`` does not hang).  ``command``
     names the wire command that failed, so the parent can release any
-    rendezvous (migration epoch, stats collection) that was waiting on the
-    reply this failure replaced.
+    rendezvous (a migration source, a stats collection) that was waiting
+    on the reply this failure replaced.
     """
 
     shard_id: str

@@ -4,7 +4,9 @@
 module-level function (required by the ``spawn`` start method) that owns a
 private :class:`~repro.cluster.runtime.ShardRuntime` — its own detectors,
 explainers and caches — and speaks the :mod:`repro.cluster.wire` protocol:
-commands in, one reply per ingest out.
+commands in, one reply per ingest and per collection out.  Installs and
+registrations go unacknowledged: the command queue's FIFO already orders
+them before the stream's next chunk.
 
 The ingest unit is an :class:`~repro.cluster.wire.IngestFrame` whose
 chunks carry their arrays inline: the worker serves them in frame order
@@ -21,11 +23,12 @@ backlog, answers every swept chunk of a migrating stream with a
 :class:`~repro.cluster.wire.ChunkBounce` (the parent replays them, in seq
 order, on the stream's new owner), then extracts each named stream and
 ships its own :class:`~repro.cluster.wire.MigrateStreamDone` the moment
-its state is snapshotted.  The backlog — non-migrating ingest and any
-control commands — is then served strictly in arrival order, and a
-straggler chunk that reaches this worker after its stream was exported
-bounces too, so the FIFO contract's *observable* effects survive: every
-chunk is served exactly once, on exactly one side of the migration.
+its state is snapshotted — the stream's only reply.  The backlog —
+non-migrating ingest and any control commands — is then served strictly
+in arrival order, and a straggler chunk that reaches this worker after
+its stream was exported bounces too, so the FIFO contract's *observable*
+effects survive: every chunk is served exactly once, on exactly one side
+of the migration.
 
 Error discipline mirrors the inline path's: an explainer failing on one
 alarm is captured *per alarm* inside the reply; a chunk that fails to
@@ -56,9 +59,7 @@ from repro.cluster.wire import (
     IngestFrame,
     IngestReply,
     MigrateIn,
-    MigrateInDone,
     MigrateOut,
-    MigrateOutDone,
     MigrateStreamDone,
     RegisterStream,
     RemoveStream,
@@ -250,13 +251,6 @@ def shard_worker_main(
                     runtime.remove(item.stream_id)
                 elif isinstance(item, MigrateIn) and set(item.streams) <= migrating:
                     runtime.import_streams(item.streams)
-                    replies.send(
-                        MigrateInDone(
-                            shard_id=shard_id,
-                            epoch=item.epoch,
-                            stream_ids=tuple(item.streams),
-                        )
-                    )
                 else:
                     kept.append(item)
             except Exception as exc:
@@ -287,7 +281,6 @@ def shard_worker_main(
                     state=payload,
                 )
             )
-        replies.send(MigrateOutDone(shard_id=shard_id, epoch=command.epoch))
 
     def _poll_control() -> None:
         try:
@@ -371,13 +364,6 @@ def shard_worker_main(
             elif isinstance(command, MigrateIn):
                 runtime.import_streams(command.streams)
                 exported.difference_update(command.streams)
-                replies.send(
-                    MigrateInDone(
-                        shard_id=shard_id,
-                        epoch=command.epoch,
-                        stream_ids=tuple(command.streams),
-                    )
-                )
             elif isinstance(command, CollectStats):
                 replies.send(
                     ShardStatsReply(

@@ -17,38 +17,29 @@ Equation 4 this becomes: for every ``i``,
 which we evaluate in ``O(q)`` per candidate using a reverse cumulative
 minimum.
 
-Three implementations of the Algorithm 1 scan are provided:
+:class:`PartialExplanationChecker` is that check, one candidate at a
+time — ``O(q)`` NumPy work per **candidate**, i.e. ``O(m q)`` for a
+literal Algorithm 1 scan.  The analysis and verification modules use it,
+and the tests scan with it as the oracle.
 
-* the *checker* scan (:class:`PartialExplanationChecker`), a literal
-  transcription that tests one candidate at a time — ``O(q)`` NumPy work
-  per **candidate**, i.e. ``O(m q)`` overall; and
-* the *vectorized* scan (the default), which exploits that between two
-  commits the committed selection is fixed, so the Theorem 3 acceptance of
-  **every** base value can be precomputed in one ``O(q)`` pass: given the
-  current slack ``s = u^k - C_S`` and deficit ``d = l^k - C_S``, adding a
-  point at base index ``b`` keeps a partial explanation iff
+:func:`construct_most_comprehensible` scans *vectorized* instead: between
+two commits the committed selection is fixed, so the Theorem 3 acceptance
+of **every** base value can be precomputed in one ``O(q)`` pass.  Given
+the current slack ``s = u^k - C_S`` and deficit ``d = l^k - C_S``, adding
+a point at base index ``b`` keeps a partial explanation iff
 
-      min_{j >= b} s_j  >=  max(1, 1 + max_{i < b} d_i),
+    min_{j >= b} s_j  >=  max(1, 1 + max_{i < b} d_i),
 
-  (suffix minimum of the slack vs. prefix maximum of the deficit; the
-  ``i >= b`` conditions are implied by the committed selection already
-  passing the check).  The scan then finds the first acceptable remaining
-  candidate with one vectorized lookup, so the whole construction costs
-  ``O(k (q + m))`` with NumPy constants instead of ``O(m q)`` with Python
-  constants; and
-
-* the *jit* scan (``scan="jit"``, or ``REPRO_JIT=1`` in the environment),
-  the same ``O(k (q + m))`` recurrence as one numba-compiled loop —
-  no per-commit NumPy dispatch at all — parity-tested against the
-  vectorized scan and silently falling back to it when numba is not
-  installed.
-
-All scans produce the identical explanation.
+(suffix minimum of the slack vs. prefix maximum of the deficit; the
+``i >= b`` conditions are implied by the committed selection already
+passing the check).  The scan then finds the first acceptable remaining
+candidate with one vectorized lookup, so the whole construction costs
+``O(k (q + m))`` with NumPy constants instead of ``O(m q)`` with Python
+constants, and produces the identical explanation.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,14 +47,6 @@ import numpy as np
 from repro.core.bounds import BoundsCalculator, SizeBounds
 from repro.core.cumulative import ExplanationProblem
 from repro.exceptions import NoExplanationError, ValidationError
-
-try:  # optional compiled kernel; everything degrades gracefully without it
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised on numba-less containers
-    numba = None
-    _HAVE_NUMBA = False
 
 
 class PartialExplanationChecker:
@@ -151,54 +134,12 @@ class PartialExplanationChecker:
         return bool(np.all(self._bounds.lower - cum_subset <= suffix_min))
 
 
-#: Scan implementations accepted by :func:`construct_most_comprehensible`.
-#: ``"jit"`` requires numba and silently falls back to ``"vectorized"``
-#: without it (same explanation either way).
-SCAN_STRATEGIES = ("vectorized", "checker", "jit")
-
-
-def jit_available() -> bool:
-    """Whether the numba-compiled scan can actually run in this process."""
-    return _HAVE_NUMBA
-
-
-def default_scan() -> str:
-    """The scan strategy the serving stack uses when none is requested.
-
-    ``REPRO_JIT=1`` in the environment opts into the numba-compiled kernel
-    (one more constant factor on top of the vectorized scan, per shard);
-    without numba installed — or without the opt-in — the NumPy vectorized
-    scan remains the default.  Checked per call so tests can flip the
-    environment variable.
-    """
-    if os.environ.get("REPRO_JIT") == "1" and _HAVE_NUMBA:
-        return "jit"
-    return "vectorized"
-
 #: Sentinel for "no deficit yet" in the prefix maximum (small enough that
 #: +1 cannot overflow int64).
 _NEG_INF = np.iinfo(np.int64).min // 2
 
 #: Candidate-lookup block size of the vectorized scan.
 _SCAN_BLOCK = 512
-
-
-def _construct_checker(
-    problem: ExplanationProblem,
-    size: int,
-    order: np.ndarray,
-    calculator: Optional[BoundsCalculator],
-) -> Optional[np.ndarray]:
-    """The literal Algorithm 1 scan: one Theorem 3 check per candidate."""
-    checker = PartialExplanationChecker(problem, size, calculator)
-    selected: list[int] = []
-    for test_index in order:
-        if checker.would_extend(int(test_index)):
-            checker.commit(int(test_index))
-            selected.append(int(test_index))
-            if len(selected) == size:
-                return np.asarray(selected, dtype=np.int64)
-    return None
 
 
 def _construct_vectorized(
@@ -268,105 +209,11 @@ def _construct_vectorized(
     return np.asarray(selected, dtype=np.int64)
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _jit_scan(lower, upper, base_of, order, size):  # pragma: no cover
-        """The Algorithm 1 scan as one compiled loop (numba nopython).
-
-        Same maths as the vectorized scan, but the per-commit ``O(q)``
-        acceptance pass and the candidate lookup fuse into plain loops, so
-        there is no per-commit NumPy dispatch overhead at all.  Returns
-        ``(completed, selected)``; ``completed`` False mirrors the other
-        scans returning ``None``.
-        """
-        q = lower.shape[0]
-        m = order.shape[0]
-        cum = np.zeros(q, np.int64)
-        selected = np.empty(size, np.int64)
-        suffix_min = np.empty(q, np.int64)
-        acceptable = np.zeros(q, np.bool_)
-        count = 0
-        pos = 0
-        while count < size:
-            running = np.int64(1) << 62
-            for j in range(q - 1, -1, -1):
-                slack = upper[j] - cum[j]
-                if slack < running:
-                    running = slack
-                suffix_min[j] = running
-            prefix = -(np.int64(1) << 62)
-            for j in range(q):
-                need = prefix + 1
-                if need < 1:
-                    need = 1
-                acceptable[j] = suffix_min[j] >= need
-                deficit = lower[j] - cum[j]
-                if deficit > prefix:
-                    prefix = deficit
-            found = -1
-            for idx in range(pos, m):
-                if acceptable[base_of[order[idx]]]:
-                    found = idx
-                    break
-            if found < 0:
-                return False, selected[:count]
-            chosen = order[found]
-            selected[count] = chosen
-            count += 1
-            for j in range(base_of[chosen], q):
-                cum[j] += 1
-            pos = found + 1
-        return True, selected
-
-
-def _construct_jit(
-    problem: ExplanationProblem,
-    size: int,
-    order: np.ndarray,
-    calculator: Optional[BoundsCalculator],
-) -> Optional[np.ndarray]:
-    """The numba-compiled Algorithm 1 scan (falls back without numba).
-
-    Import-or-fallback is silent by design: ``scan="jit"`` (or
-    ``REPRO_JIT=1``) on a machine without numba serves the identical
-    explanation through the vectorized scan instead of failing.
-    """
-    if not _HAVE_NUMBA:
-        return _construct_vectorized(problem, size, order, calculator)
-    calculator = calculator or BoundsCalculator(problem)
-    bounds = calculator.size_bounds(size)
-    if not bounds.feasible:
-        raise NoExplanationError(
-            f"no qualified {size}-cumulative vector exists; "
-            "the provided size is smaller than the explanation size"
-        )
-    completed, selected = _jit_scan(
-        np.ascontiguousarray(bounds.lower, dtype=np.int64),
-        np.ascontiguousarray(bounds.upper, dtype=np.int64),
-        np.ascontiguousarray(problem.test_base_indices, dtype=np.int64),
-        np.ascontiguousarray(order, dtype=np.int64),
-        size,
-    )
-    if not completed:
-        return None
-    return np.asarray(selected, dtype=np.int64)
-
-
-#: Scan name -> implementation.
-_SCANS = {
-    "vectorized": _construct_vectorized,
-    "checker": _construct_checker,
-    "jit": _construct_jit,
-}
-
-
 def construct_most_comprehensible(
     problem: ExplanationProblem,
     size: int,
     preference_order: Sequence[int],
     calculator: Optional[BoundsCalculator] = None,
-    scan: Optional[str] = None,
 ) -> np.ndarray:
     """Algorithm 1: build the most comprehensible explanation of size ``size``.
 
@@ -381,13 +228,6 @@ def construct_most_comprehensible(
         permutation of ``range(m)``.
     calculator:
         Optionally reuse an existing :class:`BoundsCalculator`.
-    scan:
-        ``"vectorized"`` for the batched acceptance scan, ``"checker"``
-        for the literal per-candidate Theorem 3 scan, ``"jit"`` for the
-        numba-compiled loop (falls back to ``"vectorized"`` when numba is
-        not installed).  All produce the identical explanation.  ``None``
-        (the default) resolves via :func:`default_scan` — vectorized
-        unless ``REPRO_JIT=1`` opts into the compiled kernel.
 
     Returns
     -------
@@ -402,12 +242,7 @@ def construct_most_comprehensible(
         raise ValidationError(
             "preference_order must be a permutation of range(m)"
         )
-    if scan is None:
-        scan = default_scan()
-    if scan not in SCAN_STRATEGIES:
-        raise ValidationError(f"scan must be one of {SCAN_STRATEGIES}")
-
-    selected = _SCANS[scan](problem, size, order, calculator)
+    selected = _construct_vectorized(problem, size, order, calculator)
     if selected is not None:
         return selected
     raise NoExplanationError(

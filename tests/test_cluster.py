@@ -3,8 +3,8 @@
 Covers the consistent-hash ring, registry snapshot round-tripping, parity
 of the executor backends on a seeded replay, shard fault handling,
 backend error propagation through ``drain()``/``close()``, a clean
-shutdown with no leaked semaphores, the 2-D (Fasano-Franceschini) serving
-path and the vectorized construction scan.
+shutdown with no leaked semaphores and the 2-D (Fasano-Franceschini)
+serving path.
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ import pytest
 
 from repro.cluster import HashRing, ShardRuntime
 from repro.cluster.wire import CrashShard, RemoveStream, ReplyFrame
-from repro.core.construction import construct_most_comprehensible
-from repro.core.cumulative import ExplanationProblem
-from repro.core.size_search import explanation_size
 from repro.datasets.synthetic import drifting_series
-from repro.exceptions import KSTestPassedError, ServiceBackendError, ValidationError
+from repro.exceptions import ServiceBackendError, ValidationError
 from repro.service import ExplanationService, StreamConfig, StreamRegistry
 
 
@@ -536,35 +533,3 @@ class TestShardRuntime:
         runtime.remove("s")
         with pytest.raises(ValidationError):
             runtime.remove("s")
-
-
-# ----------------------------------------------------------------------
-# Vectorized construction scan
-# ----------------------------------------------------------------------
-class TestVectorizedScan:
-    def test_matches_checker_scan_on_random_problems(self):
-        rng = np.random.default_rng(42)
-        for trial in range(20):
-            n = int(rng.integers(50, 200))
-            m = int(rng.integers(50, 200))
-            reference = rng.normal(size=n)
-            test = np.concatenate(
-                [rng.normal(size=m - m // 4), rng.uniform(2.5, 5.0, size=m // 4)]
-            )
-            try:
-                problem = ExplanationProblem(reference, test, alpha=0.05)
-            except KSTestPassedError:
-                continue  # this draw happened not to drift; irrelevant here
-            size = explanation_size(problem).size
-            order = rng.permutation(m)
-            fast = construct_most_comprehensible(problem, size, order, scan="vectorized")
-            slow = construct_most_comprehensible(problem, size, order, scan="checker")
-            assert np.array_equal(fast, slow), f"trial {trial} diverged"
-
-    def test_unknown_scan_rejected(self):
-        rng = np.random.default_rng(0)
-        reference = rng.normal(size=100)
-        test = rng.normal(3.0, 1.0, size=100)
-        problem = ExplanationProblem(reference, test)
-        with pytest.raises(ValidationError):
-            construct_most_comprehensible(problem, 5, np.arange(100), scan="nope")

@@ -1,10 +1,12 @@
-"""Tests for :mod:`repro.cluster.inflight`, the shard executor's chunk ledger.
+"""Tests for :mod:`repro.cluster.inflight`, the shard executor's ledger.
 
 A hypothesis state machine drives the ledger alone — no process, thread or
 sleep — through every event a chunk can meet between admission and
-resolution, including events that arrive after it resolved, and checks
-the exactly-once, bound and replay-order guarantees against a plain model
-after every step.
+resolution and every event a moving stream can meet between its
+``MigrateOut`` and its release, including events that arrive late (after
+a resolution, a release, or for an earlier epoch).  After every step it
+checks the exactly-once, bound, replay-order and install-readiness
+guarantees against a plain model.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ CAPACITY = 6
 PARKED_LIMIT = 3
 STREAMS = ("a", "b", "c")
 SHARDS = ("shard-0", "shard-1")
+EPOCHS = (1, 2)
+#: The model's marker for a move whose state has not arrived.
+WAITING = "waiting"
 
 
 class LedgerMachine(RuleBasedStateMachine):
     """The ledger against a model: where each unresolved seq is, how each
-    resolved one ended."""
+    resolved one ended, and what each moving stream waits for."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -39,13 +44,16 @@ class LedgerMachine(RuleBasedStateMachine):
         self.claimed = set()
         self.bounced_parked = set()  # parked seqs a source swept back
         self.outcome = {}  # resolved seq -> "served" | "failed" | "lost"
-        self.migrating = set()
+        # stream id -> {"record", "epoch", "source", "generation", "payload",
+        # "expired"}: the unreleased moves.
+        self.moves = {}
+        self.released_moves = []  # the move records released so far
         self.bounces = 0
         self.closed = False
 
     # -- helpers ---------------------------------------------------------
     def _admit(self, stream_id: str, shard_id: str) -> None:
-        parks = stream_id in self.migrating
+        parks = stream_id in self.moves
         parked = sum(owner is None for owner in self.owner.values())
         room = len(self.owner) < CAPACITY and (not parks or parked < PARKED_LIMIT)
         assert self.ledger.has_room(stream_id) == room
@@ -76,17 +84,29 @@ class LedgerMachine(RuleBasedStateMachine):
         # Resolved seqs stay drawable: their events arrive late.
         return data.draw(st.sampled_from(sorted(self.records)), label="seq")
 
+    def _routed_to(self, stream_id: str, shard_id: str) -> bool:
+        return any(
+            owner == shard_id and self.records[seq].stream_id == stream_id
+            for seq, owner in self.owner.items()
+        )
+
+    def _installable(self, stream_id: str) -> bool:
+        move = self.moves[stream_id]
+        return move["payload"] is not WAITING and (
+            move["expired"] or not self._routed_to(stream_id, move["source"])
+        )
+
     # -- admission -------------------------------------------------------
-    @precondition(lambda self: not self.closed and set(STREAMS) - self.migrating)
+    @precondition(lambda self: not self.closed and set(STREAMS) - set(self.moves))
     @rule(data=st.data(), shard_id=st.sampled_from(SHARDS))
     def admit(self, data, shard_id):
-        stream_id = data.draw(st.sampled_from(sorted(set(STREAMS) - self.migrating)))
+        stream_id = data.draw(st.sampled_from(sorted(set(STREAMS) - set(self.moves))))
         self._admit(stream_id, shard_id)
 
-    @precondition(lambda self: not self.closed and self.migrating)
+    @precondition(lambda self: not self.closed and self.moves)
     @rule(data=st.data(), shard_id=st.sampled_from(SHARDS))
     def park(self, data, shard_id):
-        self._admit(data.draw(st.sampled_from(sorted(self.migrating))), shard_id)
+        self._admit(data.draw(st.sampled_from(sorted(self.moves))), shard_id)
 
     # -- worker events ---------------------------------------------------
     @precondition(lambda self: self.records)
@@ -127,7 +147,7 @@ class LedgerMachine(RuleBasedStateMachine):
         routed = self._routed(seq)
         values = object()
         lost = self.ledger.bounce(seq, values)
-        if routed and self.records[seq].stream_id in self.migrating:
+        if routed and self.records[seq].stream_id in self.moves:
             assert lost is None
             self.owner[seq] = None
             self.values[seq] = values
@@ -151,24 +171,83 @@ class LedgerMachine(RuleBasedStateMachine):
         self._resolved(lost, "lost")
 
     # -- migration -------------------------------------------------------
-    @precondition(lambda self: not self.closed)
-    @rule(stream_ids=st.sets(st.sampled_from(STREAMS), min_size=1))
-    def begin_migration(self, stream_ids):
-        fresh = stream_ids - self.migrating
-        self.ledger.begin_migration(fresh)
-        self.migrating |= fresh
+    @precondition(lambda self: not self.closed and set(STREAMS) - set(self.moves))
+    @rule(
+        data=st.data(),
+        epoch=st.sampled_from(EPOCHS),
+        source=st.sampled_from(SHARDS),
+    )
+    def begin_move(self, data, epoch, source):
+        stream_id = data.draw(st.sampled_from(sorted(set(STREAMS) - set(self.moves))))
+        config, generation = object(), object()
+        move = self.ledger.begin_move(stream_id, epoch, config, source, generation, 3.0)
+        assert (move.stream_id, move.epoch, move.config, move.started) == (
+            stream_id,
+            epoch,
+            config,
+            3.0,
+        )
+        self.moves[stream_id] = {
+            "record": move,
+            "epoch": epoch,
+            "source": source,
+            "generation": generation,
+            "payload": WAITING,
+            "expired": False,
+        }
 
-    @precondition(lambda self: self.migrating)
-    @rule(data=st.data(), dest=st.one_of(st.none(), st.sampled_from(SHARDS)))
-    def release(self, data, dest):
-        stream_id = data.draw(st.sampled_from(sorted(self.migrating)))
+    @rule(
+        stream_id=st.sampled_from(STREAMS),
+        epoch=st.sampled_from(EPOCHS),
+        real=st.booleans(),
+    )
+    def arrive(self, stream_id, epoch, real):
+        # Any stream and epoch: a stale epoch, a released or never-moved
+        # stream, and an arrival after a give-up are all drawn.
+        payload = {"state": object()} if real else None
+        move = self.moves.get(stream_id)
+        counts = move is not None and move["epoch"] == epoch
+        assert self.ledger.arrive(epoch, stream_id, payload) == counts
+        if counts:
+            # A real state replaces a given-up fallback until release.
+            move["payload"] = payload
+
+    @rule(source=st.sampled_from(SHARDS))
+    def give_up(self, source):
+        self.ledger.give_up(source)
+        for move in self.moves.values():
+            if move["source"] == source and move["payload"] is WAITING:
+                move["payload"] = None
+
+    @rule(epoch=st.sampled_from(EPOCHS))
+    def expire(self, epoch):
+        self.ledger.expire(epoch)
+        for move in self.moves.values():
+            if move["epoch"] == epoch:
+                move["expired"] = True
+                if move["payload"] is WAITING:
+                    move["payload"] = None
+
+    @rule(
+        stream_id=st.sampled_from(STREAMS),
+        dest=st.one_of(st.none(), st.sampled_from(SHARDS)),
+    )
+    def release(self, stream_id, dest):
         parked = sorted(
             seq
             for seq, owner in self.owner.items()
             if owner is None and self.records[seq].stream_id == stream_id
         )
-        released = self.ledger.release_stream(stream_id, dest, 2.0)
-        self.migrating.discard(stream_id)
+        move, released = self.ledger.release_stream(stream_id, dest, 2.0)
+        model = self.moves.pop(stream_id, None)
+        if model is None:
+            # Never moved, already released, or dropped by close: at most
+            # one release per move, and nothing was parked.
+            assert (move, released, parked) == (None, [], [])
+            return
+        assert move is model["record"]
+        assert move not in self.released_moves, "a move released twice"
+        self.released_moves.append(move)
         # Exactly its parked seqs, in ascending order, with their payloads.
         assert [record.seq for record, _ in released] == parked
         for record, values in released:
@@ -187,9 +266,10 @@ class LedgerMachine(RuleBasedStateMachine):
         lost = self.ledger.close()
         assert {record.seq for record in lost} == set(self.owner)
         self._resolved(lost, "lost")
-        self.migrating.clear()
+        self.moves.clear()
         self.closed = True
         assert set(self.outcome) == set(self.records), "close left a seq unresolved"
+        assert not any(self.ledger.moves(epoch) for epoch in EPOCHS), "close left a move"
 
     # -- invariants ------------------------------------------------------
     @invariant()
@@ -211,13 +291,32 @@ class LedgerMachine(RuleBasedStateMachine):
     @invariant()
     def holds_exactly_the_routed_streams(self):
         for stream_id, shard_id in itertools.product(STREAMS, SHARDS):
-            routed_there = any(
-                owner == shard_id and self.records[seq].stream_id == stream_id
-                for seq, owner in self.owner.items()
-            )
-            assert self.ledger.holds(stream_id, shard_id) == routed_there
+            assert self.ledger.holds(stream_id, shard_id) == self._routed_to(stream_id, shard_id)
         for stream_id in STREAMS:
-            assert self.ledger.is_migrating(stream_id) == (stream_id in self.migrating)
+            assert self.ledger.is_migrating(stream_id) == (stream_id in self.moves)
+
+    @invariant()
+    def moves_match_the_model(self):
+        for epoch in EPOCHS:
+            expected = sorted(s for s, move in self.moves.items() if move["epoch"] == epoch)
+            moves = self.ledger.moves(epoch)
+            assert [move.stream_id for move in moves] == expected
+            for move in moves:
+                model = self.moves[move.stream_id]
+                assert move is model["record"]
+                assert (move.source, move.generation, move.expired) == (
+                    model["source"],
+                    model["generation"],
+                    model["expired"],
+                )
+                assert move.pending == (model["payload"] is WAITING)
+                if not move.pending:
+                    assert move.payload is model["payload"]
+            # Installable exactly when the state is in hand (arrived or given
+            # up) and either the epoch expired or the source holds no chunk
+            # of the stream.
+            ready = [move.stream_id for move in self.ledger.installable(epoch)]
+            assert ready == [s for s in expected if self._installable(s)]
 
 
 LedgerMachine.TestCase.settings = settings(

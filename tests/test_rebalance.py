@@ -240,33 +240,35 @@ class TestLiveResize:
             assert stream.observations == drifted_values.size
 
     def test_worker_failure_releases_the_migration_rendezvous(self):
-        """A failed migration command must unblock resize(), not hang it.
+        """A failed MigrateOut must unblock resize(), not hang it.
 
         The worker survives command failures by replying WorkerFailure
-        instead of MigrateOutDone/MigrateInDone; the parent must treat that
-        as 'this shard's migration is over' (state lost, fresh fallback) or
-        a deadline-less resize() would wait forever on a live worker.
+        instead of the streams' MigrateStreamDone; the parent must give the
+        source up (state lost, fresh fallback) or a deadline-less resize()
+        would wait forever on a live worker.
         """
         executor = ProcessShardExecutor(shards=1)  # unbound: no processes
-        executor._migrations[7] = {
-            "out_pending": {"shard-0": object()},
-            "in_pending": {"shard-0": object()},
-        }
+        ledger = executor._ledger
+        for stream_id in ("a", "b"):
+            ledger.begin_move(stream_id, 7, config={}, source="shard-0", generation=object())
         executor._stats_collections[8] = {"expected": {"shard-0": object()}, "replies": {}}
-        executor._handle_reply(
-            WorkerFailure("shard-0", "MigrateOut failed: boom", command="MigrateOut")
-        )
-        assert executor._migrations[7]["out_pending"] == {}
-        assert executor._migrations[7]["in_pending"] == {}
-        assert executor._stats_collections[8]["expected"] == {}
-        with pytest.raises(ServiceBackendError):
-            executor._raise_deferred()
-        # An unrelated failure (say, RemoveStream) does not touch rendezvous.
-        executor._migrations[7]["out_pending"]["shard-0"] = object()
+        # An unrelated failure (say, RemoveStream) touches neither rendezvous.
         executor._handle_reply(
             WorkerFailure("shard-0", "RemoveStream failed", command="RemoveStream")
         )
-        assert "shard-0" in executor._migrations[7]["out_pending"]
+        assert ledger.installable(7) == []
+        assert "shard-0" in executor._stats_collections[8]["expected"]
+        executor._handle_reply(
+            WorkerFailure("shard-0", "MigrateOut failed: boom", command="MigrateOut")
+        )
+        installable = ledger.installable(7)
+        assert [(move.stream_id, move.payload) for move in installable] == [
+            ("a", None),
+            ("b", None),
+        ]
+        assert executor._stats_collections[8]["expected"] == {}
+        with pytest.raises(ServiceBackendError):
+            executor._raise_deferred()
 
     def test_resize_validation(self):
         with ExplanationService(executor="process", shards=1) as service:
@@ -475,6 +477,53 @@ class TestFaultVisibility:
             report = service.report()
         assert {stream.stream_id for stream in report.streams} == set(ids)
         assert report.executor_stats["lost_chunks"] == 0
+
+    def test_dead_victim_after_an_expired_shrink_loses_its_chunks(self, drifted_values):
+        """A shrink victim that dies after its migration gave up strands nothing.
+
+        The victim is stopped with one chunk routed to each of its streams,
+        so the shrink's pipeline expires and installs those streams fresh on
+        the survivor; the victim is killed only once the pipeline has
+        returned, when it has left the shard table the reap walks.  Its
+        chunks must still resolve, as lost.
+        """
+        executor = ProcessShardExecutor(shards=2)
+        service = ExplanationService(
+            executor=executor, default_config=StreamConfig(window_size=150)
+        )
+        results = []
+        victim = None
+        try:
+            ids = [f"v-{i:02d}" for i in range(12)]
+            for stream_id in ids:
+                service.register(stream_id)
+            assert service.wait_ready(timeout=120)
+            owned = [stream_id for stream_id in ids if executor.shard_of(stream_id) == "shard-1"]
+            assert owned
+            victim = executor._shards["shard-1"].process
+            original = executor._pipeline_epoch
+
+            def pipeline_then_kill(epoch, timeout):
+                original(epoch, timeout)
+                victim.kill()
+                victim.join(timeout=60)
+
+            executor._pipeline_epoch = pipeline_then_kill
+            os.kill(victim.pid, signal.SIGSTOP)
+            for stream_id in owned:
+                service.submit(stream_id, drifted_values[:60], on_complete=results.append)
+            assert executor.resize(1, timeout=1.0) == 1
+            assert not victim.is_alive()
+            drained = service.drain(timeout=10)
+            stats = service.stats()
+        finally:
+            if victim is not None and victim.is_alive():
+                victim.kill()  # never leave a stopped process behind
+            service.close(drain=False)
+        assert drained
+        assert stats["lost_chunks"] == len(owned)
+        assert len(results) == len(owned)
+        assert all(result.lost for result in results)
 
     def test_exhausted_shard_is_retired_and_streams_redistributed(self, drifted_values):
         executor = ProcessShardExecutor(shards=2, max_restarts=0)
